@@ -38,10 +38,10 @@ print()
 print("== Compilation ==")
 handle = compile_diagram(parse("comul ; mul ; counit"), ctx)
 print("comul ; mul ; counit  (1 -> 0):", handle.to_strings())
-print("entry on the unit is the handle scalar:", handle.rows[0][0])
+print("entry on the unit is the handle scalar:", handle.entry(0, 0))
 
-swap = compile_diagram(parse("swap"), ctx)
-print("swap is a", len(swap.rows), "x", len(swap.rows[0]), "permutation matrix")
+swap = compile_diagram(parse("swap"), ctx).to_strings()
+print("swap is a", len(swap), "x", len(swap[0]), "permutation matrix")
 
 print()
 print("== Closed diagrams evaluate to scalars ==")

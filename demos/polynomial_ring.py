@@ -18,7 +18,7 @@ print("p + (-p) =", p + (-p))
 
 print()
 print("Values are canonical: equal iff their term maps are equal.")
-r1 = MultiPoly.make(GENS, [((2, 0, 0), 1), ((0, 2, 0), -1)])
+r1 = MultiPoly(GENS, [((2, 0, 0), 1), ((0, 2, 0), -1)])
 r2 = parse_poly("a^2 - b^2", GENS)
 print("built from terms:", r1, " parsed:", r2, " equal:", r1 == r2)
 

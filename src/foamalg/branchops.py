@@ -14,216 +14,24 @@ and `cocomul_skein` is the same map with the output legs exchanged.  Both are
 exposed because the two conventions satisfy different sign forms of the web
 skein identities; the law suite reports each separately.
 
-`LinearMap` gives every operation an exact matrix between tensor powers of
-the algebra, composable with `>>` and tensorable with `@` (Kronecker).
+Each operation is a `LinearMap` (defined in `frobalg`, re-exported here),
+the same sparse column store as the algebra's own structure maps.
 """
 
 from __future__ import annotations
 
-from .coeffring import MultiPoly
-from .frobalg import AlgebraElement, FrobeniusAlgebra, TensorElement
+from functools import cached_property
+from operator import attrgetter
+
+from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
+    TensorElement, _push, _vector
 from .thetafoam import ThetaTable
-
-
-class LinearMap:
-    """An exact matrix from A^(x)in_order to A^(x)out_order.
-
-    Rows and columns are indexed by flattened basis tuples: the tuple
-    (i1, ..., ik) maps to i1*n^(k-1) + ... + ik, leftmost factor most
-    significant.  Kronecker products and compositions follow the same
-    convention.
-    """
-
-    __slots__ = ("gens", "n", "in_order", "out_order", "rows")
-
-    def __init__(self, gens, n: int, in_order: int, out_order: int, rows):
-        self.gens = tuple(gens)
-        self.n = int(n)
-        self.in_order = int(in_order)
-        self.out_order = int(out_order)
-        nrows, ncols = self.n ** self.out_order, self.n ** self.in_order
-        rows = tuple(tuple(row) for row in rows)
-        if len(rows) != nrows or any(len(r) != ncols for r in rows):
-            raise ValueError(
-                f"matrix shape {len(rows)}x{len(rows[0]) if rows else 0} does not "
-                f"match orders ({self.in_order} -> {self.out_order}) at rank {self.n}"
-            )
-        self.rows = rows
-
-    @classmethod
-    def identity(cls, gens, n: int, order: int = 1) -> "LinearMap":
-        dim = n ** order
-        one, zero = MultiPoly.one(gens), MultiPoly.zero(gens)
-        rows = [[one if i == j else zero for j in range(dim)] for i in range(dim)]
-        return cls(gens, n, order, order, rows)
-
-    @classmethod
-    def from_columns(cls, gens, n, in_order, out_order, columns) -> "LinearMap":
-        """Build from the images of input basis tuples (one column each)."""
-        nrows, ncols = n ** out_order, n ** in_order
-        zero = MultiPoly.zero(gens)
-        rows = [[zero] * ncols for _ in range(nrows)]
-        for c, col in enumerate(columns):
-            for r, value in col.items():
-                rows[r][c] = value
-        return cls(gens, n, in_order, out_order, rows)
-
-    def _flat(self, idx) -> int:
-        flat = 0
-        for i in idx:
-            flat = flat * self.n + i
-        return flat
-
-    def _unflat(self, flat: int, order: int):
-        idx = []
-        for _ in range(order):
-            flat, r = divmod(flat, self.n)
-            idx.append(r)
-        return tuple(reversed(idx))
-
-    # -- composition and monoidal structure ---------------------------------
-
-    def __rshift__(self, other: "LinearMap") -> "LinearMap":
-        """`f >> g`: run f first, then g (diagram order, bottom to top)."""
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        if other.in_order != self.out_order or other.n != self.n:
-            raise ValueError(
-                f"cannot compose: output order {self.out_order} feeds input "
-                f"order {other.in_order}"
-            )
-        mid = self.n ** self.out_order
-        zero = MultiPoly.zero(self.gens)
-        rows = []
-        for r in range(self.n ** other.out_order):
-            brow = other.rows[r]
-            out_row = [zero] * (self.n ** self.in_order)
-            for m in range(mid):
-                b = brow[m]
-                if not b:
-                    continue
-                arow = self.rows[m]
-                for c, a in enumerate(arow):
-                    if a:
-                        out_row[c] = out_row[c] + b * a
-            rows.append(out_row)
-        return LinearMap(self.gens, self.n, self.in_order, other.out_order, rows)
-
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        """Kronecker product, self on the more significant legs."""
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        if other.n != self.n or other.gens != self.gens:
-            raise ValueError("cannot tensor maps over different algebras")
-        r2 = self.n ** other.out_order
-        c2 = self.n ** other.in_order
-        rows = []
-        for ra in range(self.n ** self.out_order):
-            for rb in range(r2):
-                row = []
-                arow = self.rows[ra]
-                brow = other.rows[rb]
-                for ca in range(self.n ** self.in_order):
-                    a = arow[ca]
-                    if not a:
-                        row.extend([MultiPoly.zero(self.gens)] * c2)
-                        continue
-                    row.extend(a * b if b else b for b in brow)
-                rows.append(row)
-        return LinearMap(
-            self.gens, self.n,
-            self.in_order + other.in_order,
-            self.out_order + other.out_order,
-            rows,
-        )
-
-    # -- linear structure ------------------------------------------------------
-
-    def _same_shape(self, other):
-        if not isinstance(other, LinearMap):
-            raise TypeError(f"expected LinearMap, got {type(other).__name__}")
-        if (other.n, other.in_order, other.out_order) != (self.n, self.in_order, self.out_order):
-            raise ValueError("linear map shape mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._same_shape(other)
-        rows = [
-            [a + b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, rows)
-
-    def __sub__(self, other):
-        other = self._same_shape(other)
-        rows = [
-            [a - b for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ]
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, rows)
-
-    def __neg__(self):
-        rows = [[-a for a in row] for row in self.rows]
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, rows)
-
-    def scale(self, c) -> "LinearMap":
-        if isinstance(c, int):
-            c = MultiPoly.const(self.gens, c)
-        rows = [[c * a for a in row] for row in self.rows]
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, rows)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, MultiPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return (
-            (self.n, self.in_order, self.out_order) ==
-            (other.n, other.in_order, other.out_order)
-            and self.rows == other.rows
-        )
-
-    def apply(self, t: TensorElement):
-        """Apply to a tensor; returns a TensorElement, or the scalar when
-        the output order is zero."""
-        if t.order != self.in_order:
-            raise ValueError(
-                f"cannot apply order ({self.in_order} -> {self.out_order}) map "
-                f"to an order {t.order} tensor"
-            )
-        out = [MultiPoly.zero(self.gens)] * (self.n ** self.out_order)
-        for idx, c in t.coeffs.items():
-            col = self._flat(idx)
-            for r in range(len(out)):
-                entry = self.rows[r][col]
-                if entry:
-                    out[r] = out[r] + entry * c
-        if self.out_order == 0:
-            return out[0]
-        coeffs = {
-            self._unflat(r, self.out_order): v
-            for r, v in enumerate(out) if v
-        }
-        return TensorElement(t.algebra, self.out_order, coeffs)
-
-    def to_strings(self):
-        """Matrix as nested lists of polynomial strings (for JSON output)."""
-        return [[str(a) for a in row] for row in self.rows]
-
-    def __repr__(self):
-        return (
-            f"LinearMap({self.in_order} -> {self.out_order}, rank={self.n})"
-        )
 
 
 class BranchContext:
     """A Frobenius algebra paired with a rank-matching theta table.
 
-    Immutable; bracket and cocomul tables and the generator matrices are
-    cached on first use.
+    Immutable; the bracket and cocomul maps are built on first use.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra, theta: ThetaTable):
@@ -234,84 +42,73 @@ class BranchContext:
             )
         self.algebra = algebra
         self.theta = theta.embed(algebra.gens)
-        self._bracket_table = None
-        self._maps: dict[str, LinearMap] = {}
+
+    # -- structure maps, each one column store built on first use -------------
+
+    @cached_property
+    def bracket_map(self) -> LinearMap:
+        """(e_i, e_j) -> sum_k theta(e_k, e_i, e_j) y_k, from the nonzero
+        theta entries only."""
+        A = self.algebra
+        n = A.rank
+        weights: dict[int, list] = {}
+        for (k, i, j), t in self.theta.entries.items():
+            weights.setdefault(i * n + j, []).append((k, t))
+        duals = dict(enumerate(map(_vector, A.dual_basis)))
+        return LinearMap(A.gens, n, 2, 1,
+                         {ij: _push(duals, w) for ij, w in weights.items()})
+
+    @cached_property
+    def cocomul_map(self) -> LinearMap:
+        """u -> sum_i bracket(u, y_i) (x) e_i: delta_one beside the input,
+        then the bracket on the two left legs."""
+        A = self.algebra
+        return (A.identity_map @ A.delta_one_map) >> \
+            (self.bracket_map @ A.identity_map)
+
+    @cached_property
+    def cocomul_skein_map(self) -> LinearMap:
+        return self.cocomul_map >> self.algebra.swap_map
 
     # -- operations ------------------------------------------------------------
 
-    def _brackets(self):
-        if self._bracket_table is None:
-            A = self.algebra
-            n = A.rank
-            table = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    acc = A.zero
-                    for k in range(n):
-                        t = self.theta.value(k, i, j)
-                        if t:
-                            acc = acc + A.dual_basis[k].scale(t)
-                    row.append(acc)
-                table.append(tuple(row))
-            self._bracket_table = tuple(table)
-        return self._bracket_table
+    @cached_property
+    def _bracket_table(self):
+        """bracket(e_i, e_j) as elements, read off the bracket map's columns."""
+        A = self.algebra
+        n, cols = A.rank, self.bracket_map.cols
+        return tuple(
+            tuple(A._element(cols.get(i * n + j, {})) for j in range(n))
+            for i in range(n)
+        )
 
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
-        return self._brackets()[i][j]
+        return self._bracket_table[i][j]
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Bilinear extension of the basis bracket table."""
-        A = self.algebra
-        u, v = A._own(u), A._own(v)
-        table = self._brackets()
-        acc = [MultiPoly.zero(A.gens)] * A.rank
-        for i, cu in enumerate(u.coeffs):
-            if not cu:
-                continue
-            for j, cv in enumerate(v.coeffs):
-                if not cv:
-                    continue
-                c = cu * cv
-                for k, ct in enumerate(table[i][j].coeffs):
-                    if ct:
-                        acc[k] = acc[k] + c * ct
-        return AlgebraElement(A, acc)
+        return self.algebra._apply(self.bracket_map, u, v)
 
     def cocomul(self, u: AlgebraElement) -> TensorElement:
         """sum_i bracket(u, y_i) (x) e_i, with y_i the dual basis."""
-        A = self.algebra
-        u = A._own(u)
-        out: dict[tuple[int, int], MultiPoly] = {}
-        for i in range(A.rank):
-            w = self.bracket(u, A.dual_basis[i])
-            for a, ca in enumerate(w.coeffs):
-                if not ca:
-                    continue
-                key = (a, i)
-                prev = out.get(key)
-                s = ca if prev is None else prev + ca
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return TensorElement(A, 2, out)
+        return self.algebra._apply(self.cocomul_map, u)
 
     def cocomul_skein(self, u: AlgebraElement) -> TensorElement:
         """cocomul with the two output legs exchanged."""
-        return self.cocomul(u).swap()
+        return self.algebra._apply(self.cocomul_skein_map, u)
 
     # -- matrices ---------------------------------------------------------------
 
     def mul_by_map(self, u: AlgebraElement) -> LinearMap:
         """The 1 -> 1 matrix of multiplication by a fixed element."""
         A = self.algebra
-        u = A._own(u)
-        columns = []
-        for j in range(A.rank):
-            w = A.mul(u, A.basis_element(j))
-            columns.append({a: c for a, c in enumerate(w.coeffs) if c})
-        return LinearMap.from_columns(A.gens, A.rank, 1, 1, columns)
+        n = A.rank
+        u = _vector(A._own(u))
+        cols = {
+            j: _push(A.mul_map.cols, [(i * n + j, c) for i, c in u.items()])
+            for j in range(n)
+        }
+        return LinearMap(A.gens, n, 1, 1, cols)
 
     def linear_map(self, which: str) -> LinearMap:
         """Exact matrix of a named generator map.
@@ -319,60 +116,24 @@ class BranchContext:
         Names: bracket, cocomul, cocomul_skein, mul, comul, counit_map,
         unit_map, swap, identity, delta_one_map.
         """
-        cached = self._maps.get(which)
-        if cached is not None:
-            return cached
-        A = self.algebra
-        n, gens = A.rank, A.gens
-        if which == "identity":
-            built = LinearMap.identity(gens, n, 1)
-        elif which == "swap":
-            columns = []
-            one = MultiPoly.one(gens)
-            for i in range(n):
-                for j in range(n):
-                    columns.append({j * n + i: one})
-            built = LinearMap.from_columns(gens, n, 2, 2, columns)
-        elif which == "mul":
-            columns = []
-            for i in range(n):
-                for j in range(n):
-                    w = A.mul_basis(i, j)
-                    columns.append({a: c for a, c in enumerate(w.coeffs) if c})
-            built = LinearMap.from_columns(gens, n, 2, 1, columns)
-        elif which == "bracket":
-            columns = []
-            for i in range(n):
-                for j in range(n):
-                    w = self.bracket_basis(i, j)
-                    columns.append({a: c for a, c in enumerate(w.coeffs) if c})
-            built = LinearMap.from_columns(gens, n, 2, 1, columns)
-        elif which == "comul":
-            columns = []
-            for i in range(n):
-                t = A.comul(A.basis_element(i))
-                columns.append({a * n + b: c for (a, b), c in t.coeffs.items()})
-            built = LinearMap.from_columns(gens, n, 1, 2, columns)
-        elif which in ("cocomul", "cocomul_skein"):
-            op = self.cocomul if which == "cocomul" else self.cocomul_skein
-            columns = []
-            for i in range(n):
-                t = op(A.basis_element(i))
-                columns.append({a * n + b: c for (a, b), c in t.coeffs.items()})
-            built = LinearMap.from_columns(gens, n, 1, 2, columns)
-        elif which == "counit_map":
-            rows = [list(A.counit_vec)]
-            built = LinearMap(gens, n, 1, 0, rows)
-        elif which == "unit_map":
-            columns = [{a: c for a, c in enumerate(A.unit.coeffs) if c}]
-            built = LinearMap.from_columns(gens, n, 0, 1, columns)
-        elif which == "delta_one_map":
-            columns = [{a * n + b: c for (a, b), c in A.delta_one.coeffs.items()}]
-            built = LinearMap.from_columns(gens, n, 0, 2, columns)
-        else:
+        path = _LINEAR_MAPS.get(which)
+        if path is None:
             raise ValueError(f"unknown linear map name {which!r}")
-        self._maps[which] = built
-        return built
+        return attrgetter(path)(self)
 
     def __repr__(self):
         return f"BranchContext({self.algebra!r}, {self.theta!r})"
+
+
+_LINEAR_MAPS = {
+    "identity": "algebra.identity_map",
+    "swap": "algebra.swap_map",
+    "mul": "algebra.mul_map",
+    "comul": "algebra.comul_map",
+    "counit_map": "algebra.counit_map",
+    "unit_map": "algebra.unit_map",
+    "delta_one_map": "algebra.delta_one_map",
+    "bracket": "bracket_map",
+    "cocomul": "cocomul_map",
+    "cocomul_skein": "cocomul_skein_map",
+}

@@ -16,8 +16,8 @@ from .branchops import BranchContext
 from .coeffring import parse_poly
 from .foamlang import ArityError, ParseError, eval_closed, parse, typecheck, \
     compile_diagram
-from .frobalg import DegenerateFormError, FrobeniusAlgebra, \
-    algebra_from_modulus, mv_algebra, truncated_algebra
+from .frobalg import FrobeniusAlgebra, algebra_from_modulus, mv_algebra, \
+    truncated_algebra
 from .groupfoam import GroupRingAlgebra, derive_bialgebra_theta, group_ring
 from .lawsuite import run_suite, suite_passed
 from .thetafoam import ThetaTable, lie_theta, mv_theta
@@ -76,7 +76,7 @@ def build_algebra(spec: str):
         modulus = [coeff(c) for c in config["modulus"]]
         counit = [coeff(c) for c in config["counit"]]
         algebra = algebra_from_modulus(gens, modulus, counit)
-    except (ValueError, DegenerateFormError) as exc:
+    except ValueError as exc:
         raise SpecError(f"config {spec!r}: {exc}") from exc
     return algebra, config.get("theta")
 
@@ -152,15 +152,16 @@ def _report_lines(report) -> str:
     return "\n".join([line] + extra)
 
 
-def cmd_laws(args) -> int:
-    ctx = build_context(args)
+def _run_selected(args):
+    """Build the context and run the comma-separated `--suite` selection."""
     names = None if args.suite in (None, "all") else [
         s.strip() for s in args.suite.split(",") if s.strip()
     ]
-    try:
-        reports = run_suite(ctx, names)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    return run_suite(build_context(args), names)
+
+
+def cmd_laws(args) -> int:
+    reports = _run_selected(args)
     if args.format == "json":
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     else:
@@ -200,14 +201,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ctx = build_context(args)
-    names = None if args.suite in (None, "all") else [
-        s.strip() for s in args.suite.split(",") if s.strip()
-    ]
-    try:
-        reports = run_suite(ctx, names)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
+    reports = _run_selected(args)
     document = {
         "algebra": args.algebra,
         "theta": args.theta,
@@ -264,13 +258,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ArityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateFormError, ValueError) as exc:
+    except (ParseError, ArityError, ValueError) as exc:
+        # SpecError and DegenerateFormError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

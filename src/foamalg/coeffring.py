@@ -8,7 +8,7 @@ so arithmetic is arbitrary precision and never overflows.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class MultiPoly:
@@ -21,6 +21,10 @@ class MultiPoly:
     __slots__ = ("gens", "terms", "_hash")
 
     def __init__(self, gens: Sequence[str], terms):
+        """Build from a dict or (exponent vector, coefficient) pairs.
+
+        Duplicate exponent vectors are summed; zero coefficients dropped.
+        """
         gens = tuple(gens)
         width = len(gens)
         canon: dict[tuple[int, ...], int] = {}
@@ -44,14 +48,6 @@ class MultiPoly:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def make(cls, gens, terms: Iterable[tuple[Sequence[int], int]]) -> "MultiPoly":
-        """Build a polynomial from (exponent vector, coefficient) pairs.
-
-        Duplicate exponent vectors are summed; zero coefficients dropped.
-        """
-        return cls(gens, terms)
 
     @classmethod
     def zero(cls, gens) -> "MultiPoly":

@@ -161,14 +161,21 @@ def _lex(src: str):
 
 _FACTOR_EXPECTED = sorted(set(GENERATOR_ARITIES) - {"label"}) + ["label(...)", "("]
 
+# Deepest parenthesis nesting `parse` accepts.  Parsing, type checking and
+# compilation each recurse once per level, so this bound keeps every stage
+# well inside Python's default recursion limit.
+MAX_NESTING = 100
+
 
 def parse(src: str) -> DiagramExpr:
     """Parse diagram source into an AST.
 
-    Raises ParseError with the exact (line, column) on malformed input.
+    Raises ParseError with the exact (line, column) on malformed input,
+    including parentheses nested deeper than MAX_NESTING.
     """
     tokens = _lex(src)
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos]
@@ -180,6 +187,7 @@ def parse(src: str) -> DiagramExpr:
         return tok
 
     def parse_factor():
+        nonlocal depth
         kind, text, at = peek()
         if kind == "NAME":
             advance()
@@ -191,8 +199,13 @@ def parse(src: str) -> DiagramExpr:
             advance()
             return Generator("label", payload=text, pos=at)
         if kind == "LPAREN":
+            if depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", at)
             advance()
+            depth += 1
             inner = parse_expr()
+            depth -= 1
             kind, text, at2 = peek()
             if kind != "RPAREN":
                 raise ParseError("expected ')'", at2, expected=[")"])
@@ -320,4 +333,4 @@ def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:
             f"expression is not closed: arity {arity}",
             getattr(e, "pos", None),
         )
-    return compile_diagram(e, ctx).rows[0][0]
+    return compile_diagram(e, ctx).entry(0, 0)

@@ -5,6 +5,12 @@ with the counit (Frobenius form) on basis elements.  Construction eagerly
 derives the Gram matrix, its inverse, the dual basis and the neck-cutting
 tensor delta_one, and validates the algebra axioms on all basis tuples.
 
+Every structure map (mul, comul, counit, unit, swap, identity, delta_one,
+and the branch maps built in `branchops`) is one `LinearMap`: a sparse
+column store between tensor powers of the algebra.  Products, coproducts,
+compositions and applications all go through `_push`, the one routine that
+scales columns and accumulates them.
+
 The Gram matrix must have determinant 1 or -1: its inverse then stays inside
 the integer coefficient ring, which is the only setting in which the dual
 basis (and hence delta_one) exists over Z[g...] without passing to fractions.
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property, reduce
 from .coeffring import MultiPoly, parse_expression
 
 
@@ -45,11 +52,7 @@ class AlgebraElement:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"expected AlgebraElement, got {type(other).__name__}")
-        if other.algebra.rank != self.algebra.rank:
-            raise ValueError("rank mismatch between algebra elements")
-        return other
+        return self.algebra._own(other)
 
     def __add__(self, other):
         other = self._check(other)
@@ -142,21 +145,15 @@ class TensorElement:
     def _check(self, other):
         if not isinstance(other, TensorElement):
             raise TypeError(f"expected TensorElement, got {type(other).__name__}")
-        if other.order != self.order or other.algebra.rank != self.algebra.rank:
-            raise ValueError("tensor order or rank mismatch")
+        if other.order != self.order or other.algebra is not self.algebra:
+            raise ValueError("tensor order or algebra mismatch")
         return other
 
     def __add__(self, other):
         other = self._check(other)
-        merged = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = merged.get(idx)
-            s = c if s is None else s + c
-            if s:
-                merged[idx] = s
-            elif idx in merged:
-                del merged[idx]
-        return TensorElement(self.algebra, self.order, merged)
+        return TensorElement(
+            self.algebra, self.order, _sum(self.coeffs, other.coeffs)
+        )
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -184,35 +181,16 @@ class TensorElement:
             return self.scale(other)
         other = self._check(other)
         A = self.algebra
-        out: dict[tuple[int, ...], MultiPoly] = {}
+        n, mul = A.rank, A.mul_map.cols
+        # The column of e_s (x) e_t is the Kronecker product of the mul
+        # columns of its legs; only the pairs present are built.
+        columns, vector = {}, []
         for s, cs in self.coeffs.items():
             for t, ct in other.coeffs.items():
-                base = cs * ct
-                legs = [A.mul_basis(a, b) for a, b in zip(s, t)]
-                choices = [
-                    [(i, c) for i, c in enumerate(leg.coeffs) if c]
-                    for leg in legs
-                ]
-                for combo in itertools.product(*choices):
-                    idx = tuple(i for i, _ in combo)
-                    c = base
-                    for _, factor in combo:
-                        c = c * factor
-                    prev = out.get(idx)
-                    c = c if prev is None else prev + c
-                    if c:
-                        out[idx] = c
-                    elif idx in out:
-                        del out[idx]
-        return TensorElement(A, self.order, out)
-
-    def swap(self) -> "TensorElement":
-        """Exchange the two legs of an order-2 tensor."""
-        if self.order != 2:
-            raise ValueError("swap is defined for order-2 tensors")
-        return TensorElement(
-            self.algebra, 2, {(j, i): c for (i, j), c in self.coeffs.items()}
-        )
+                legs = (mul.get(a * n + b, {}) for a, b in zip(s, t))
+                columns[s, t] = reduce(lambda x, y: _kron(x, y, n), legs)
+                vector.append(((s, t), cs * ct))
+        return A._tensor(self.order, _push(columns, vector))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -228,6 +206,216 @@ class TensorElement:
 
     def __repr__(self):
         return self.algebra.render_tensor(self)
+
+
+# -- structure maps: sparse column stores --------------------------------------
+
+
+def _push(columns, vector) -> dict:
+    """sum_j c_j * columns[j] over the (j, c_j) pairs of `vector`.
+
+    `columns` maps an input index to a sparse column {output index: value};
+    the result is sparse too, with zero entries dropped.  This is the one
+    routine that scales structure-map columns and accumulates them.
+    """
+    out = {}
+    for j, c in vector:
+        for i, v in columns.get(j, {}).items():
+            prev = out.get(i)
+            out[i] = c * v if prev is None else prev + c * v
+    return {i: v for i, v in out.items() if v.terms}
+
+
+def _kron(a: dict, b: dict, width: int) -> dict:
+    """Kronecker product of two sparse vectors, b's indices running fastest
+    over `width` values."""
+    return {i * width + j: x * y for i, x in a.items() for j, y in b.items()}
+
+
+def _sum(a: dict, b: dict) -> dict:
+    """Sum of two sparse vectors, zero entries dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out[k] + v if k in out else v
+    return {k: v for k, v in out.items() if v}
+
+
+def _vector(u: AlgebraElement) -> dict:
+    """The nonzero coefficients of an element, by basis index."""
+    return {i: c for i, c in enumerate(u.coeffs) if c.terms}
+
+
+def _first_difference(got: "LinearMap", want: "LinearMap"):
+    """The smallest input index at which two maps' columns differ, or None."""
+    return min(
+        (c for c in got.cols.keys() | want.cols.keys()
+         if got.cols.get(c) != want.cols.get(c)),
+        default=None,
+    )
+
+
+def _flat(idx, n: int) -> int:
+    flat = 0
+    for i in idx:
+        flat = flat * n + i
+    return flat
+
+
+def _unflat(flat: int, n: int, order: int) -> tuple[int, ...]:
+    idx = []
+    for _ in range(order):
+        flat, r = divmod(flat, n)
+        idx.append(r)
+    return tuple(reversed(idx))
+
+
+class LinearMap:
+    """An exact matrix from A^(x)in_order to A^(x)out_order, stored by columns.
+
+    `cols` maps the flat index of each input basis tuple to its image, a
+    {flat output index: nonzero MultiPoly} dict.  Zero entries and zero
+    columns are never stored, so two maps are equal exactly when their
+    `cols` are.  The tuple (i1, ..., ik) flattens to i1*n^(k-1) + ... + ik,
+    leftmost factor most significant; Kronecker products and compositions
+    follow the same convention.
+    """
+
+    __slots__ = ("gens", "n", "in_order", "out_order", "cols")
+
+    def __init__(self, gens, n: int, in_order: int, out_order: int, cols):
+        self.gens = tuple(gens)
+        self.n = int(n)
+        self.in_order = int(in_order)
+        self.out_order = int(out_order)
+        ncols, nrows = self.n ** self.in_order, self.n ** self.out_order
+        canon = {}
+        for c, col in cols.items():
+            col = {r: v for r, v in col.items() if v}
+            if not 0 <= c < ncols or any(not 0 <= r < nrows for r in col):
+                raise ValueError(
+                    f"entry index out of range for orders ({self.in_order} -> "
+                    f"{self.out_order}) at rank {self.n}"
+                )
+            if col:
+                canon[c] = col
+        self.cols = canon
+
+    @classmethod
+    def identity(cls, gens, n: int, order: int = 1) -> "LinearMap":
+        one = MultiPoly.one(gens)
+        return cls(gens, n, order, order, {j: {j: one} for j in range(n ** order)})
+
+    # -- composition and monoidal structure ---------------------------------
+
+    def __rshift__(self, other: "LinearMap") -> "LinearMap":
+        """`f >> g`: run f first, then g (diagram order, bottom to top)."""
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        if other.in_order != self.out_order or other.n != self.n:
+            raise ValueError(
+                f"cannot compose: output order {self.out_order} feeds input "
+                f"order {other.in_order}"
+            )
+        cols = {c: _push(other.cols, col.items()) for c, col in self.cols.items()}
+        return LinearMap(self.gens, self.n, self.in_order, other.out_order, cols)
+
+    def __matmul__(self, other: "LinearMap") -> "LinearMap":
+        """Kronecker product, self on the more significant legs."""
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        if other.n != self.n or other.gens != self.gens:
+            raise ValueError("cannot tensor maps over different algebras")
+        width_in = self.n ** other.in_order
+        width_out = self.n ** other.out_order
+        cols = {
+            ca * width_in + cb: _kron(a, b, width_out)
+            for ca, a in self.cols.items() for cb, b in other.cols.items()
+        }
+        return LinearMap(
+            self.gens, self.n,
+            self.in_order + other.in_order,
+            self.out_order + other.out_order,
+            cols,
+        )
+
+    # -- linear structure ------------------------------------------------------
+
+    def _same_shape(self, other):
+        if not isinstance(other, LinearMap):
+            raise TypeError(f"expected LinearMap, got {type(other).__name__}")
+        if (other.n, other.in_order, other.out_order) != (self.n, self.in_order, self.out_order):
+            raise ValueError("linear map shape mismatch")
+        return other
+
+    def __add__(self, other):
+        other = self._same_shape(other)
+        cols = {
+            c: _sum(self.cols.get(c, {}), other.cols.get(c, {}))
+            for c in self.cols.keys() | other.cols.keys()
+        }
+        return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
+
+    def __sub__(self, other):
+        return self + (-self._same_shape(other))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c) -> "LinearMap":
+        if isinstance(c, int):
+            c = MultiPoly.const(self.gens, c)
+        cols = {j: {i: c * v for i, v in col.items()} for j, col in self.cols.items()}
+        return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, MultiPoly)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearMap):
+            return NotImplemented
+        return (
+            (self.n, self.in_order, self.out_order) ==
+            (other.n, other.in_order, other.out_order)
+            and self.cols == other.cols
+        )
+
+    # -- entries and application ----------------------------------------------
+
+    def entry(self, row: int, col: int) -> MultiPoly:
+        """The matrix entry at flat output index `row`, flat input index `col`."""
+        value = self.cols.get(col, {}).get(row)
+        return MultiPoly.zero(self.gens) if value is None else value
+
+    def apply(self, t: TensorElement):
+        """Apply to a tensor; returns a TensorElement, or the scalar when
+        the output order is zero."""
+        if t.order != self.in_order:
+            raise ValueError(
+                f"cannot apply order ({self.in_order} -> {self.out_order}) map "
+                f"to an order {t.order} tensor"
+            )
+        image = _push(
+            self.cols, ((_flat(idx, self.n), c) for idx, c in t.coeffs.items())
+        )
+        if self.out_order == 0:
+            return image.get(0, MultiPoly.zero(self.gens))
+        return t.algebra._tensor(self.out_order, image)
+
+    def to_strings(self):
+        """Matrix as nested lists of polynomial strings (for JSON output)."""
+        ncols, nrows = self.n ** self.in_order, self.n ** self.out_order
+        rows = [["0"] * ncols for _ in range(nrows)]
+        for c, col in self.cols.items():
+            for r, v in col.items():
+                rows[r][c] = str(v)
+        return rows
+
+    def __repr__(self):
+        return (
+            f"LinearMap({self.in_order} -> {self.out_order}, rank={self.n})"
+        )
 
 
 # -- exact linear algebra over the coefficient ring --------------------------
@@ -399,9 +587,9 @@ class FrobeniusAlgebra:
         if validate:
             self._validate_algebra()
 
+        pairing = self.mul_map >> self.counit_map
         self.gram = tuple(
-            tuple(self.counit(self.mult_table[i][j]) for j in range(n))
-            for i in range(n)
+            tuple(pairing.entry(0, i * n + j) for j in range(n)) for i in range(n)
         )
         self.gram_det, dual_coords = unimodular_inverse(
             [list(row) for row in self.gram], self.gens
@@ -412,17 +600,13 @@ class FrobeniusAlgebra:
             AlgebraElement(self, tuple(dual_coords[k][j] for k in range(n)))
             for j in range(n)
         )
-        delta = {}
-        for i in range(n):
-            for a, c in enumerate(self.dual_basis[i].coeffs):
-                if c:
-                    key = (a, i)
-                    prev = delta.get(key)
-                    delta[key] = c if prev is None else prev + c
-        self.delta_one = TensorElement(self, 2, delta)
+        self.delta_one = TensorElement(self, 2, {
+            (a, i): c
+            for i, y in enumerate(self.dual_basis) for a, c in _vector(y).items()
+        })
 
         if validate:
-            self._validate_frobenius()
+            self._validate_frobenius(pairing)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -449,79 +633,71 @@ class FrobeniusAlgebra:
     def mul_basis(self, i: int, j: int) -> AlgebraElement:
         return self.mult_table[i][j]
 
-    # -- structure maps --------------------------------------------------------
+    # -- structure maps, each one column store built on first use -------------
+
+    @cached_property
+    def mul_map(self) -> LinearMap:
+        n = self.rank
+        return LinearMap(self.gens, n, 2, 1, {
+            i * n + j: _vector(self.mult_table[i][j])
+            for i in range(n) for j in range(n)
+        })
+
+    @cached_property
+    def counit_map(self) -> LinearMap:
+        return LinearMap(self.gens, self.rank, 1, 0,
+                         {j: {0: c} for j, c in enumerate(self.counit_vec)})
+
+    @cached_property
+    def unit_map(self) -> LinearMap:
+        return LinearMap(self.gens, self.rank, 0, 1, {0: _vector(self.unit)})
+
+    @cached_property
+    def delta_one_map(self) -> LinearMap:
+        n = self.rank
+        return LinearMap(self.gens, n, 0, 2, {
+            0: {_flat(idx, n): c for idx, c in self.delta_one.coeffs.items()}
+        })
+
+    @cached_property
+    def identity_map(self) -> LinearMap:
+        return LinearMap.identity(self.gens, self.rank, 1)
+
+    @cached_property
+    def swap_map(self) -> LinearMap:
+        n, one = self.rank, MultiPoly.one(self.gens)
+        return LinearMap(self.gens, n, 2, 2, {
+            i * n + j: {j * n + i: one} for i in range(n) for j in range(n)
+        })
+
+    @cached_property
+    def comul_map(self) -> LinearMap:
+        """u -> sum_i y_i (x) (e_i * u): delta_one beside the input, then mul
+        on the two right legs."""
+        return (self.delta_one_map @ self.identity_map) >> \
+            (self.identity_map @ self.mul_map)
 
     def mul(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Bilinear extension of the multiplication table."""
-        u, v = self._own(u), self._own(v)
-        acc = [MultiPoly.zero(self.gens)] * self.rank
-        for i, cu in enumerate(u.coeffs):
-            if not cu:
-                continue
-            for j, cv in enumerate(v.coeffs):
-                if not cv:
-                    continue
-                c = cu * cv
-                for k, ct in enumerate(self.mult_table[i][j].coeffs):
-                    if ct:
-                        acc[k] = acc[k] + c * ct
-        return AlgebraElement(self, acc)
+        return self._apply(self.mul_map, u, v)
 
     def counit(self, u: AlgebraElement) -> MultiPoly:
         """Linear extension of the Frobenius form to arbitrary elements."""
-        u = self._own(u)
-        acc = MultiPoly.zero(self.gens)
-        for c, e in zip(u.coeffs, self.counit_vec):
-            if c and e:
-                acc = acc + c * e
-        return acc
+        return self._apply(self.counit_map, u)
 
     def comul(self, u: AlgebraElement) -> TensorElement:
         """Comultiplication through the second leg: sum_i y_i (x) (e_i * u)."""
-        u = self._own(u)
-        out: dict[tuple[int, int], MultiPoly] = {}
-        for i in range(self.rank):
-            w = self.mul(self.basis_element(i), u)
-            for a, ca in enumerate(self.dual_basis[i].coeffs):
-                if not ca:
-                    continue
-                for b, cb in enumerate(w.coeffs):
-                    if not cb:
-                        continue
-                    key = (a, b)
-                    c = ca * cb
-                    prev = out.get(key)
-                    c = c if prev is None else prev + c
-                    if c:
-                        out[key] = c
-                    elif key in out:
-                        del out[key]
-        return TensorElement(self, 2, out)
+        return self._apply(self.comul_map, u)
 
     def handle_scalar(self) -> MultiPoly:
         """counit(mul(delta_one)): the scalar of the one-handled sphere."""
-        acc = MultiPoly.zero(self.gens)
-        for i in range(self.rank):
-            acc = acc + self.counit(self.mul(self.dual_basis[i], self.basis_element(i)))
-        return acc
+        return (self.delta_one_map >> self.mul_map >> self.counit_map).entry(0, 0)
 
     def tensor(self, *elems: AlgebraElement) -> TensorElement:
         """The elementary tensor u1 (x) ... (x) uk, expanded over the basis."""
         if not elems:
             raise ValueError("tensor needs at least one factor")
-        out: dict[tuple[int, ...], MultiPoly] = {}
-        choices = [
-            [(i, c) for i, c in enumerate(self._own(u).coeffs) if c]
-            for u in elems
-        ]
-        for combo in itertools.product(*choices):
-            idx = tuple(i for i, _ in combo)
-            c = MultiPoly.one(self.gens)
-            for _, factor in combo:
-                c = c * factor
-            prev = out.get(idx)
-            out[idx] = c if prev is None else prev + c
-        return TensorElement(self, len(elems), out)
+        return self._tensor(len(elems), dict(self._elementary(elems)))
 
     def tensor_zero(self, order: int) -> TensorElement:
         return TensorElement(self, order, {})
@@ -529,12 +705,49 @@ class FrobeniusAlgebra:
     def _own(self, u: AlgebraElement) -> AlgebraElement:
         if not isinstance(u, AlgebraElement):
             raise TypeError(f"expected AlgebraElement, got {type(u).__name__}")
-        if u.algebra.rank != self.rank:
+        if u.algebra is not self:
+            kind = "rank" if u.algebra.rank != self.rank else "algebra"
             raise ValueError(
-                f"rank mismatch: element of rank {u.algebra.rank} used with "
-                f"rank {self.rank} algebra"
+                f"{kind} mismatch: element of {u.algebra!r} used with {self!r}"
             )
         return u
+
+    def _elementary(self, elems) -> list:
+        """The nonzero (flat index, coefficient) pairs of u1 (x) ... (x) uk."""
+        n, pairs = self.rank, None
+        for u in elems:
+            leg = [(i, c) for i, c in enumerate(self._own(u).coeffs) if c.terms]
+            pairs = leg if pairs is None else [
+                (a * n + i, x * c) for a, x in pairs for i, c in leg
+            ]
+        return pairs
+
+    def _element(self, vector: dict) -> AlgebraElement:
+        """The element with these coefficients by basis index.  They are
+        entries of this algebra's structure maps, so they already lie in its
+        ring and the constructor's checks are skipped."""
+        zero = MultiPoly.zero(self.gens)
+        u = object.__new__(AlgebraElement)
+        u.algebra = self
+        u.coeffs = tuple([vector.get(k, zero) for k in range(self.rank)])
+        return u
+
+    def _tensor(self, order: int, vector: dict) -> TensorElement:
+        n = self.rank
+        return TensorElement(
+            self, order, {_unflat(k, n, order): c for k, c in vector.items()}
+        )
+
+    def _apply(self, m: LinearMap, *elems):
+        """m on u1 (x) ... (x) uk: the scalar, element or tensor for zero, one
+        or more output legs."""
+        image = _push(m.cols, self._elementary(elems))
+        if m.out_order == 1:
+            return self._element(image)
+        if m.out_order == 0:
+            value = image.get(0)
+            return MultiPoly.zero(self.gens) if value is None else value
+        return self._tensor(m.out_order, image)
 
     # -- parsing and rendering --------------------------------------------------
 
@@ -636,40 +849,40 @@ class FrobeniusAlgebra:
                                 f"multiplication is not associative at ({i}, {j}, {k})"
                             )
             return
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left = self.mul(self.mult_table[i][j], self.basis_element(k))
-                    right = self.mul(self.basis_element(i), self.mult_table[j][k])
-                    if left != right:
-                        raise ValueError(
-                            f"multiplication is not associative at ({i}, {j}, {k})"
-                        )
-                    if self.counit(left) != self.counit(right):
-                        raise ValueError(
-                            f"Frobenius form is not associative at ({i}, {j}, {k})"
-                        )
-
-    def _validate_frobenius(self):
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                value = self.counit(self.mul(self.basis_element(i), self.dual_basis[j]))
-                expected = self.scalar(1 if i == j else 0)
-                if value != expected:
-                    raise DegenerateFormError(
-                        f"dual basis check failed at ({i}, {j}): "
-                        f"counit(e_{i} * y_{j}) = {value}"
-                    )
-        for u in range(n):
-            acc = self.zero
-            for i in range(n):
-                w = self.counit(self.mul(self.basis_element(i), self.basis_element(u)))
-                acc = acc + self.dual_basis[i].scale(w)
-            if acc != self.basis_element(u):
-                raise DegenerateFormError(
-                    f"neck-cutting resolution failed on basis element {u}"
+        # (e_i e_j) e_k against e_i (e_j e_k), one triple at a time: the
+        # n^3 columns of both sides are never held at once.
+        mul = self.mul_map.cols
+        for i, j, k in itertools.product(range(n), repeat=3):
+            left = _push(mul, [(a * n + k, c) for a, c in mul.get(i * n + j, {}).items()])
+            right = _push(mul, [(i * n + a, c) for a, c in mul.get(j * n + k, {}).items()])
+            if left != right:
+                raise ValueError(
+                    f"multiplication is not associative at ({i}, {j}, {k})"
                 )
+
+    def _validate_frobenius(self, pairing: LinearMap):
+        """counit(e_i * y_j) = delta_ij, and neck cutting
+        sum_i y_i counit(e_i * u) = u, on all basis elements."""
+        n, gens = self.rank, self.gens
+        one = MultiPoly.one(gens)
+        dual = LinearMap(gens, n, 1, 1, dict(enumerate(map(_vector, self.dual_basis))))
+        got = (self.identity_map @ dual) >> pairing
+        want = LinearMap(gens, n, 2, 0, {i * n + i: {0: one} for i in range(n)})
+        bad = _first_difference(got, want)
+        if bad is not None:
+            i, j = divmod(bad, n)
+            raise DegenerateFormError(
+                f"dual basis check failed at ({i}, {j}): "
+                f"counit(e_{i} * y_{j}) = {got.entry(0, bad)}"
+            )
+        gram = LinearMap(gens, n, 1, 1, {
+            u: {i: self.gram[i][u] for i in range(n)} for u in range(n)
+        })
+        bad = _first_difference(gram >> dual, self.identity_map)
+        if bad is not None:
+            raise DegenerateFormError(
+                f"neck-cutting resolution failed on basis element {bad}"
+            )
 
 
 # -- constructors from quotient polynomial rings -------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchops import BranchContext, LinearMap
-from .frobalg import FrobeniusAlgebra
+from .frobalg import FrobeniusAlgebra, _unflat
 
 
 @dataclass
@@ -180,20 +180,19 @@ def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
 
 
 def _matrix_counterexample(ctx, lhs: LinearMap, rhs: LinearMap):
-    """First differing entry of two same-shape matrices, as printable data."""
+    """First differing entry of two same-shape matrices in row-major order,
+    as printable data."""
+    diff = lhs - rhs
+    if not diff.cols:
+        return None
+    r, c = min((r, c) for c, col in diff.cols.items() for r in col)
     A = ctx.algebra
-    for r, (lrow, rrow) in enumerate(zip(lhs.rows, rhs.rows)):
-        for c, (a, b) in enumerate(zip(lrow, rrow)):
-            if a != b:
-                in_idx = lhs._unflat(c, lhs.in_order) if lhs.in_order else ()
-                out_idx = lhs._unflat(r, lhs.out_order) if lhs.out_order else ()
-                return {
-                    "inputs": _labels(A, *in_idx),
-                    "output_basis": _labels(A, *out_idx),
-                    "lhs": str(a),
-                    "rhs": str(b),
-                }
-    return None
+    return {
+        "inputs": _labels(A, *_unflat(c, A.rank, lhs.in_order)),
+        "output_basis": _labels(A, *_unflat(r, A.rank, lhs.out_order)),
+        "lhs": str(lhs.entry(r, c)),
+        "rhs": str(rhs.entry(r, c)),
+    }
 
 
 def check_skein_identities(ctx: BranchContext) -> list[LawReport]:

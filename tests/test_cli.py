@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from foamalg.cli import main
 
@@ -110,6 +113,15 @@ class TestEval:
         assert code == 0
         assert out.strip() == "0"
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        expr = "(" * 3000 + "id" + ")" * 3000
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                             "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nested deeper than" in err
+
     def test_json_closed(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                              "--expr",
@@ -159,6 +171,24 @@ class TestReport:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["results"][0]["law"] == "jacobi"
+
+    # SHA-256 of the report bytes, recorded before the structure maps became
+    # sparse column stores; any change to a verdict, count or rendering shows.
+    @pytest.mark.parametrize("algebra, theta, code, digest", [
+        ("mv", "mv", 0,
+         "c714b0944021759e847ca6845361ba33e9f5301ccb3391a1a5b4fd058a1d534a"),
+        ("aN:9", "lie", 1,
+         "f0cdd16f95c1105c7f809ae18fc32906405a0dde61e50036574cdb0d06283959"),
+        ("group:2,2,2", "group", 1,
+         "a3d4a37a668e38b53d1ac033bf91bf93347c7b9555c44832d22295a900d26f78"),
+        ("group:2,4", "zero", 1,
+         "9239b871718c46412635b221e4321168a74488250330a819fdf771e4cc03d6bd"),
+    ])
+    def test_golden_digest(self, capsys, algebra, theta, code, digest):
+        got, out, err = run(capsys, "report", "--algebra", algebra,
+                            "--theta", theta)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "report", "--algebra", "mv", "--theta", "mv")

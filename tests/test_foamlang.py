@@ -199,7 +199,7 @@ class TestCompile:
     def test_swap_matrix(self, mv_ctx):
         m = compile_diagram(parse("swap"), mv_ctx)
         assert m == mv_ctx.linear_map("swap")
-        assert len(m.rows) == 9
+        assert len(m.to_strings()) == 9
 
     def test_id_tensor_id(self, mv_ctx):
         m = compile_diagram(parse("id * id"), mv_ctx)
@@ -207,7 +207,7 @@ class TestCompile:
 
     def test_handle_map(self, mv_ctx):
         m = compile_diagram(parse("comul ; mul ; counit"), mv_ctx)
-        assert str(m.rows[0][0]) == "3"
+        assert m.to_strings()[0][0] == "3"
 
     def test_label_is_multiplication(self, mv_ctx):
         A = mv_ctx.algebra

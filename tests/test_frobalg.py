@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import (
     DegenerateFormError,
+    FrobeniusAlgebra,
     algebra_from_modulus,
     mv_algebra,
     truncated_algebra,
@@ -65,6 +66,14 @@ class TestConstruction:
         with pytest.raises(DegenerateFormError, match="det"):
             algebra_from_modulus((), [0, 0, 1], [0, 2])
 
+    def test_non_associative_table_rejected(self):
+        # basis 1, x, y with x*x = y, x*y = 0, y*y = x: (x*x)*y = x but
+        # x*(x*y) = 0, and (1, 1, 2) is the first failing triple.
+        one, x, y, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+        table = [[one, x, y], [x, y, z], [y, z, x]]
+        with pytest.raises(ValueError, match=r"not associative at \(1, 1, 2\)"):
+            FrobeniusAlgebra((), ["1", "x", "y"], table, [0, 0, 1])
+
 
 class TestMultiplication:
     def test_unit(self, mv):
@@ -80,6 +89,19 @@ class TestMultiplication:
         other = truncated_algebra(2)
         with pytest.raises(ValueError, match="rank mismatch"):
             mv.mul(mv.unit, other.unit)
+
+    def test_same_rank_foreign_element(self):
+        # X^2 in Z[X]/(X^3 + 1) squares to -X there, and 0 in Z[X]/(X^3).
+        cubic = algebra_from_modulus((), [1, 0, 0, 1], [0, 0, 1])
+        x2 = cubic.parse_element("X^2")
+        assert cubic.mul(x2, x2) == cubic.parse_element("-X")
+        A = truncated_algebra(3)
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            A.mul(x2, x2)
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            A.unit + x2
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            A.tensor(A.unit) + cubic.tensor(cubic.unit)
 
 
 class TestCounit:
