@@ -27,6 +27,13 @@ class SpecError(ValueError):
     """Unusable algebra/theta specification or configuration."""
 
 
+MAX_TRUNCATED_RANK = 64
+"""Largest n accepted in an `aN:<n>` spec, matching the 64-element bound on
+group rings.  Construction checks associativity on all n^3 basis triples:
+`aN:64` builds in one to two seconds, and without a bound `aN:150` runs for
+minutes and larger n exhausts memory."""
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -49,6 +56,8 @@ def build_algebra(spec: str):
             raise SpecError(f"bad truncated-algebra spec {spec!r}") from None
         if n < 2:
             raise SpecError("aN:<n> needs n >= 2")
+        if n > MAX_TRUNCATED_RANK:
+            raise SpecError(f"aN:<n> needs n <= {MAX_TRUNCATED_RANK}")
         return truncated_algebra(n), None
     if spec.startswith("group:"):
         try:

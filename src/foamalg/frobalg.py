@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
-from .coeffring import MultiPoly, parse_expression
+from .coeffring import MultiPoly, _mul_into, parse_expression
 
 
 class DegenerateFormError(ValueError):
@@ -89,18 +89,19 @@ class AlgebraElement:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.algebra.unit
-        for _ in range(k):
-            result = result * self
+        result, base = self.algebra.unit, self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return (
-            self.algebra.rank == other.algebra.rank
-            and self.coeffs == other.coeffs
-        )
+        return self.algebra is other.algebra and self.coeffs == other.coeffs
 
     def __bool__(self):
         return any(self.coeffs)
@@ -196,7 +197,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         return (
-            self.algebra.rank == other.algebra.rank
+            self.algebra is other.algebra
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
@@ -215,15 +216,30 @@ def _push(columns, vector) -> dict:
     """sum_j c_j * columns[j] over the (j, c_j) pairs of `vector`.
 
     `columns` maps an input index to a sparse column {output index: value};
-    the result is sparse too, with zero entries dropped.  This is the one
-    routine that scales structure-map columns and accumulates them.
+    the result is sparse too, with zero entries dropped.  Every coefficient
+    and entry must lie in one ring; callers check that.  This is the one
+    routine that scales structure-map columns and accumulates them: every
+    product c_j * v goes straight into one term map per output index, and
+    each sum is wrapped as a polynomial once, at the end.
     """
-    out = {}
+    acc, gens = {}, None
     for j, c in vector:
-        for i, v in columns.get(j, {}).items():
-            prev = out.get(i)
-            out[i] = c * v if prev is None else prev + c * v
-    return {i: v for i, v in out.items() if v.terms}
+        col = columns.get(j)
+        if not col:
+            continue
+        ct = c.terms
+        for i, v in col.items():
+            terms = acc.get(i)
+            if terms is None:
+                terms = acc[i] = {}
+            _mul_into(terms, ct, v.terms)
+        gens = c.gens
+    out = {}
+    for i, terms in acc.items():
+        terms = {e: x for e, x in terms.items() if x}
+        if terms:
+            out[i] = MultiPoly._canonical(gens, terms)
+    return out
 
 
 def _kron(a: dict, b: dict, width: int) -> dict:
@@ -316,6 +332,8 @@ class LinearMap:
                 f"cannot compose: output order {self.out_order} feeds input "
                 f"order {other.in_order}"
             )
+        if other.gens != self.gens:
+            raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")
         cols = {c: _push(other.cols, col.items()) for c, col in self.cols.items()}
         return LinearMap(self.gens, self.n, self.in_order, other.out_order, cols)
 
@@ -395,6 +413,10 @@ class LinearMap:
             raise ValueError(
                 f"cannot apply order ({self.in_order} -> {self.out_order}) map "
                 f"to an order {t.order} tensor"
+            )
+        if t.algebra.gens != self.gens:
+            raise ValueError(
+                f"generator mismatch: {self.gens} vs {t.algebra.gens}"
             )
         image = _push(
             self.cols, ((_flat(idx, self.n), c) for idx, c in t.coeffs.items())

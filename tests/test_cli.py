@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from foamalg.cli import main
+from foamalg.cli import MAX_TRUNCATED_RANK, main
+from foamalg.coeffring import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -78,6 +79,14 @@ class TestLaws:
                              "--theta", "lie")
         assert code == 2
 
+    def test_truncated_rank_bound(self, capsys):
+        code, out, err = run(capsys, "laws", "--algebra",
+                             f"aN:{MAX_TRUNCATED_RANK + 1}", "--theta", "zero")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"n <= {MAX_TRUNCATED_RANK}" in err
+
 
 class TestEval:
     def test_handle_matrix(self, capsys):
@@ -121,6 +130,24 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested deeper than" in err
+
+    @pytest.mark.parametrize("payload", ["a^100000000", "X^100000000"])
+    def test_huge_exponent_is_an_error(self, capsys, payload):
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                             "--expr", f"label({payload})")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"exceeds the maximum {MAX_EXPONENT}" in err
+
+    def test_exponent_at_the_bound(self, capsys):
+        k = MAX_EXPONENT
+        code, out, err = run(capsys, "eval", "--algebra", "aN:3", "--theta",
+                             "lie", "--expr", f"unit ; label(X^{k} + X^2) ; counit")
+        assert (code, out.strip(), err) == (0, "1", "")
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                             "--expr", f"unit ; label(a^{k} * X^2) ; counit")
+        assert (code, out.strip(), err) == (0, f"-a^{k}", "")
 
     def test_json_closed(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",

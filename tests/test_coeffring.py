@@ -107,6 +107,70 @@ class TestRingAxioms:
         assert (p == q) == (p.terms == q.terms)
 
 
+def naive(terms):
+    """Term pairs as a list, so that the public constructor canonicalises
+    them: sums duplicates, drops zeros and checks every exponent vector."""
+    return MultiPoly(GENS, list(terms))
+
+
+def product_terms(p, q):
+    return [(tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in p.terms.items() for eb, cb in q.terms.items()]
+
+
+def assert_canonical(p):
+    assert p.gens == GENS
+    for exps, c in p.terms.items():
+        assert type(c) is int and c != 0
+        assert type(exps) is tuple and len(exps) == len(GENS)
+        assert all(type(e) is int and e >= 0 for e in exps)
+
+
+class TestArithmeticOracle:
+    """Arithmetic results skip the public constructor's checks; each must
+    equal the same terms canonicalised by it, and be canonical itself."""
+
+    @given(polys, polys)
+    def test_sum_and_differences(self, p, q):
+        pairs = [
+            (p + q, naive([*p.terms.items(), *q.terms.items()])),
+            (p - q, naive([*p.terms.items(),
+                           *((e, -c) for e, c in q.terms.items())])),
+            (-p, naive((e, -c) for e, c in p.terms.items())),
+            (p + 3, naive([*p.terms.items(), ((0, 0, 0), 3)])),
+            (3 - p, naive([((0, 0, 0), 3),
+                           *((e, -c) for e, c in p.terms.items())])),
+        ]
+        for got, want in pairs:
+            assert_canonical(got)
+            assert got == want
+
+    @given(polys, polys, st.integers(-3, 3))
+    def test_product(self, p, q, k):
+        # `polys` rarely draws a constant term, which takes its own path.
+        for x, y in ((p, q), (p + k, q), (q, p + k)):
+            got = x * y
+            assert_canonical(got)
+            assert got == naive(product_terms(x, y))
+        assert k * p == naive((e, k * c) for e, c in p.terms.items())
+
+    @given(polys)
+    def test_product_with_one_is_the_other_factor(self, p):
+        one = MultiPoly.one(GENS)
+        assert p * one is p
+        assert p * 1 is p
+        assert 1 * p is p
+        # When p is 1 too, the left factor comes back.
+        assert one * p is (one if p == one else p)
+
+    @given(polys, st.integers(-4, 4).filter(bool))
+    def test_exact_div_int(self, p, k):
+        scaled = naive((e, k * c) for e, c in p.terms.items())
+        got = scaled.exact_div_int(k)
+        assert_canonical(got)
+        assert got == naive(p.terms.items())
+
+
 class TestHelpers:
     def test_exact_div(self):
         assert P("2*a + 4").exact_div_int(2) == P("a + 2")

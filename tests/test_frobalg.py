@@ -5,6 +5,7 @@ from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import (
     DegenerateFormError,
     FrobeniusAlgebra,
+    _push,
     algebra_from_modulus,
     mv_algebra,
     truncated_algebra,
@@ -102,6 +103,25 @@ class TestMultiplication:
             A.unit + x2
         with pytest.raises(ValueError, match="algebra mismatch"):
             A.tensor(A.unit) + cubic.tensor(cubic.unit)
+
+    def test_equality_requires_same_algebra(self):
+        # Same rank and coefficients, different algebras: adding the two
+        # raises, so they must not compare equal either.
+        A = truncated_algebra(3)
+        cubic = algebra_from_modulus((), [1, 0, 0, 1], [0, 0, 1])
+        assert A.unit.coeffs == cubic.unit.coeffs
+        assert not A.unit == cubic.unit
+        assert not A.tensor(A.unit) == cubic.tensor(cubic.unit)
+        assert A.unit == A.basis_element(0)
+        assert A.tensor(A.unit) == A.tensor(A.basis_element(0))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 8, 13])
+    def test_pow_matches_repeated_product(self, mv, k):
+        u = mv.parse_element("X + a")
+        want = mv.unit
+        for _ in range(k):
+            want = want * u
+        assert u ** k == want
 
 
 class TestCounit:
@@ -362,3 +382,51 @@ class TestParsingRendering:
 
     def test_render_zero(self, mv):
         assert mv.render_element(mv.zero) == "0"
+
+
+small_polys = st.builds(
+    lambda items: MultiPoly(MV_GENS, items),
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+            st.integers(-2, 2),
+        ),
+        max_size=3,
+    ),
+)
+
+
+def unfused_push(columns, vector):
+    """Reference for `_push`: sum c * v as polynomials, one product and one
+    partial sum at a time, then drop the zero entries."""
+    out = {}
+    for j, c in vector:
+        for i, v in columns.get(j, {}).items():
+            out[i] = out.get(i, MultiPoly.zero(MV_GENS)) + c * v
+    return {i: v for i, v in out.items() if v}
+
+
+class TestPush:
+    @given(
+        st.dictionaries(
+            st.integers(0, 5),
+            st.dictionaries(st.integers(0, 4), small_polys, max_size=4),
+            max_size=5,
+        ),
+        st.lists(st.tuples(st.integers(0, 6), small_polys), max_size=6),
+    )
+    def test_matches_unfused_sum(self, columns, vector):
+        got = _push(columns, vector)
+        assert got == unfused_push(columns, vector)
+        for v in got.values():
+            assert v.gens == MV_GENS and v.terms
+            assert all(c != 0 for c in v.terms.values())
+
+    def test_maps_over_other_rings_are_rejected(self, mv):
+        # `_push` trusts its callers to share one ring, so composition and
+        # application check it.
+        cubic = algebra_from_modulus((), [1, 0, 0, 1], [0, 0, 1])
+        with pytest.raises(ValueError, match="generator mismatch"):
+            mv.identity_map >> cubic.identity_map
+        with pytest.raises(ValueError, match="generator mismatch"):
+            mv.identity_map.apply(cubic.tensor(cubic.unit))
