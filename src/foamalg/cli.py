@@ -2,12 +2,14 @@
 evaluate diagram expressions, and emit text or JSON reports.
 
 Exit codes: 0 when all selected checks pass, 1 when at least one law failed,
-2 on malformed input (bad spec, rank mismatch, parse or arity errors).
+2 on malformed input (bad spec, rank mismatch, parse or arity errors), 3 on
+an internal error.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,11 +39,24 @@ minutes and larger n exhausts memory."""
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except OSError as exc:
         raise SpecError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise SpecError(f"config {path!r} is not a JSON object")
+    return config
+
+
+def _config_list(config: dict, key: str, kinds, what: str, spec: str) -> list:
+    """The config field `key`, which must be a list of `kinds` values."""
+    value = config[key]
+    if not isinstance(value, list) or not all(
+        isinstance(v, kinds) for v in value
+    ):
+        raise SpecError(f"config {spec!r}: {key!r} must be a list of {what}")
+    return value
 
 
 def build_algebra(spec: str):
@@ -74,16 +89,16 @@ def build_algebra(spec: str):
     for key in ("generators", "modulus", "counit"):
         if key not in config:
             raise SpecError(f"config {spec!r} is missing the {key!r} field")
-    gens = tuple(config["generators"])
-
-    def coeff(entry):
-        if isinstance(entry, int):
-            return parse_poly(str(entry), gens)
-        return parse_poly(entry, gens)
+    gens = tuple(_config_list(config, "generators", str, "names", spec))
+    modulus, counit = (
+        _config_list(config, key, (int, str),
+                     "integers or polynomial strings", spec)
+        for key in ("modulus", "counit")
+    )
 
     try:
-        modulus = [coeff(c) for c in config["modulus"]]
-        counit = [coeff(c) for c in config["counit"]]
+        modulus = [parse_poly(str(c), gens) for c in modulus]
+        counit = [parse_poly(str(c), gens) for c in counit]
         algebra = algebra_from_modulus(gens, modulus, counit)
     except ValueError as exc:
         raise SpecError(f"config {spec!r}: {exc}") from exc
@@ -226,7 +241,10 @@ def cmd_report(args) -> int:
     return 0 if suite_passed(reports) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process rather than on every
+    `main` call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="foamalg",
         description="Exact Frobenius-algebra and branch-operation toolkit",
@@ -271,6 +289,11 @@ def main(argv=None) -> int:
         # SpecError and DegenerateFormError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # A fault of the program, not of the input: it must not read as a
+        # failed law (exit 1) or show a traceback.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -4,32 +4,76 @@ A ring is fixed by an ordered tuple of generator names.  A polynomial is a
 canonical sparse map from exponent vectors (one non-negative integer per
 generator) to nonzero integer coefficients.  Coefficients are Python ints,
 so arithmetic is arbitrary precision and never overflows.
+
+Inside `MultiPoly` each exponent vector is packed into one int: every
+generator owns a field of EXPONENT_BITS bits, the first generator the most
+significant, so multiplying two monomials is one int addition, and packed
+keys order exactly as their exponent tuples do (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping
+from functools import cache, reduce
+from types import MappingProxyType
 from typing import Sequence
 
 MAX_EXPONENT = 100
-"""Largest exponent `parse_expression` accepts after `^`.  The cost of a
-power grows fast with its exponent: in the `mv` algebra the coefficients of
-X^100 have about 850 terms each and `eval` of `label(X^100)` takes under a
-second, while X^200 takes several seconds and X^100000000 would never end."""
+"""Largest power of one name that `parse_expression` accepts in one product
+term, summed over the term's factors (a factor without `^` counts 1).  The
+cost of a power grows fast with its exponent: in the `mv` algebra the
+coefficients of X^100 have about 850 terms each and `eval` of
+`label(X^100)` takes under a second, while X^200 takes several seconds and
+X^100000000 would never end."""
+
+EXPONENT_BITS = 16
+EXPONENT_LIMIT = 1 << (EXPONENT_BITS - 1)
+"""Every stored exponent is below EXPONENT_LIMIT, so the top bit of each
+packed field is clear and the sum of two packed keys can never carry into
+the next field.  The public constructor rejects an exponent at the limit,
+and a product with an exponent that reaches it raises ValueError."""
+
+_FIELD_MASK = (1 << EXPONENT_BITS) - 1
+
+
+def _pack(exps) -> int:
+    """The packed key of an exponent vector whose entries are in range."""
+    key = 0
+    for e in exps:
+        key = key << EXPONENT_BITS | e
+    return key
+
+
+def _unpack(key: int, width: int) -> tuple:
+    return tuple(
+        key >> shift & _FIELD_MASK
+        for shift in range(EXPONENT_BITS * (width - 1), -1, -EXPONENT_BITS)
+    )
+
+
+@cache
+def _top_bits(width: int) -> int:
+    """The top bit of every field of a packed key of `width` fields."""
+    return _pack([EXPONENT_LIMIT] * width)
 
 
 def _mul_into(terms: dict, a: dict, b: dict) -> None:
-    """Add every term product of the term maps `a` and `b` into `terms`.
+    """Add every term product of the packed term maps `a` and `b` into
+    `terms`.
 
-    Coefficients that cancel are left in place as zeros; the caller drops
-    them once, after its last product.  A factor's constant term adds its
-    multiple of the other factor's exponent vectors without building sums.
+    Coefficients that cancel are left in place as zeros, and keys are not
+    checked against EXPONENT_LIMIT; the caller does both once, through
+    `MultiPoly._product`, after its last product.  A factor's constant term
+    adds its multiple of the other factor's keys without building sums.
     """
     get = terms.get
     for ea, ca in a.items():
-        if any(ea):
+        if ea:
             for eb, cb in b.items():
-                e = tuple(map(operator.add, ea, eb))
+                e = ea + eb
                 terms[e] = get(e, 0) + ca * cb
         else:
             for eb, cb in b.items():
@@ -37,11 +81,8 @@ def _mul_into(terms: dict, a: dict, b: dict) -> None:
 
 
 def _is_one(terms: dict) -> bool:
-    """True iff the term map is the constant polynomial 1."""
-    if len(terms) != 1:
-        return False
-    (e, c), = terms.items()
-    return c == 1 and not any(e)
+    """True iff the packed term map is the constant polynomial 1."""
+    return len(terms) == 1 and terms.get(0) == 1
 
 
 class MultiPoly:
@@ -51,22 +92,23 @@ class MultiPoly:
     coefficient is zero, and equality is plain equality of the term maps.
 
     `MultiPoly(gens, terms)` is the one public constructor and checks its
-    input.  Arithmetic results are canonical by construction (their
-    exponent vectors are sums of valid ones and their zero coefficients are
-    dropped), so they are wrapped by `_canonical` without re-checking.
+    input.  Arithmetic results are canonical by construction (their keys
+    are sums of valid ones and their zero coefficients are dropped), so
+    they are wrapped by `_canonical` without re-checking; products also
+    pass the EXPONENT_LIMIT check in `_product`.
     """
 
-    __slots__ = ("gens", "terms", "_hash")
+    __slots__ = ("gens", "_packed", "_terms", "_hash")
 
     def __init__(self, gens: Sequence[str], terms):
-        """Build from a dict or (exponent vector, coefficient) pairs.
+        """Build from a mapping or (exponent vector, coefficient) pairs.
 
         Duplicate exponent vectors are summed; zero coefficients dropped.
         """
         gens = tuple(gens)
         width = len(gens)
-        canon: dict[tuple[int, ...], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
+        canon: dict[int, int] = {}
+        items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != width:
@@ -76,36 +118,67 @@ class MultiPoly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = canon.get(exps, 0) + int(coeff)
+            if any(e >= EXPONENT_LIMIT for e in exps):
+                raise ValueError(
+                    f"exponent in {exps} is not below the limit "
+                    f"{EXPONENT_LIMIT}"
+                )
+            key = _pack(exps)
+            c = canon.get(key, 0) + int(coeff)
             if c:
-                canon[exps] = c
-            elif exps in canon:
-                del canon[exps]
+                canon[key] = c
+            elif key in canon:
+                del canon[key]
         self.gens = gens
-        self.terms = canon
+        self._packed = canon
+        self._terms = None
         self._hash = None
 
     @classmethod
-    def _canonical(cls, gens: tuple, terms: dict) -> "MultiPoly":
-        """Wrap a term map that is already canonical: int exponent tuples of
-        width len(gens) and no zero coefficient.  Only arithmetic results,
-        which are canonical by construction, come through here."""
+    def _canonical(cls, gens: tuple, packed: dict) -> "MultiPoly":
+        """Wrap a packed term map that is already canonical: keys with every
+        field below EXPONENT_LIMIT, one field per generator, and no zero
+        coefficient.  Only values canonical by construction come here."""
         p = object.__new__(cls)
         p.gens = gens
-        p.terms = terms
+        p._packed = packed
+        p._terms = None
         p._hash = None
         return p
+
+    @classmethod
+    def _product(cls, gens: tuple, packed: dict) -> "MultiPoly":
+        """Wrap a packed term map that `_mul_into` accumulated: drop the
+        zeros that cancellation left, and refuse a key with a field at
+        EXPONENT_LIMIT, on which the next product could carry."""
+        packed = {e: c for e, c in packed.items() if c}
+        if packed and reduce(operator.or_, packed) & _top_bits(len(gens)):
+            raise ValueError(
+                f"a product has an exponent of {EXPONENT_LIMIT} or more"
+            )
+        return cls._canonical(gens, packed)
+
+    @property
+    def terms(self) -> Mapping:
+        """The term map {exponent tuple: coefficient}: a read-only view,
+        built on first access."""
+        if self._terms is None:
+            width = len(self.gens)
+            self._terms = MappingProxyType(
+                {_unpack(e, width): c for e, c in self._packed.items()}
+            )
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, gens) -> "MultiPoly":
-        return cls(gens, [])
+        return cls._canonical(tuple(gens), {})
 
     @classmethod
     def const(cls, gens, value: int) -> "MultiPoly":
-        gens = tuple(gens)
-        return cls(gens, [((0,) * len(gens), int(value))])
+        value = int(value)
+        return cls._canonical(tuple(gens), {0: value} if value else {})
 
     @classmethod
     def one(cls, gens) -> "MultiPoly":
@@ -116,8 +189,7 @@ class MultiPoly:
         gens = tuple(gens)
         if name not in gens:
             raise ValueError(f"unknown generator {name!r} (ring has {gens})")
-        exps = tuple(1 if g == name else 0 for g in gens)
-        return cls(gens, [(exps, 1)])
+        return cls._canonical(gens, {_pack(int(g == name) for g in gens): 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -136,12 +208,12 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms:
+        if not self._packed:
             return other
-        if not other.terms:
+        if not other._packed:
             return self
-        merged = dict(self.terms)
-        for exps, c in other.terms.items():
+        merged = dict(self._packed)
+        for exps, c in other._packed.items():
             s = merged.get(exps, 0) + c
             if s:
                 merged[exps] = s
@@ -153,7 +225,7 @@ class MultiPoly:
 
     def __neg__(self):
         return MultiPoly._canonical(
-            self.gens, {e: -c for e, c in self.terms.items()}
+            self.gens, {e: -c for e, c in self._packed.items()}
         )
 
     def __sub__(self, other):
@@ -172,17 +244,15 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.terms, other.terms
+        a, b = self._packed, other._packed
         # MultiPoly is immutable, so a factor of exactly 1 returns the other.
         if _is_one(b):
             return self
         if _is_one(a):
             return other
-        out: dict[tuple[int, ...], int] = {}
+        out: dict[int, int] = {}
         _mul_into(out, a, b)
-        return MultiPoly._canonical(
-            self.gens, {e: c for e, c in out.items() if c}
-        )
+        return MultiPoly._product(self.gens, out)
 
     __rmul__ = __mul__
 
@@ -205,26 +275,26 @@ class MultiPoly:
             other = MultiPoly.const(self.gens, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.gens == other.gens and self.terms == other.terms
+        return self.gens == other.gens and self._packed == other._packed
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.gens, frozenset(self.terms.items())))
+            self._hash = hash((self.gens, frozenset(self._packed.items())))
         return self._hash
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return not any(self._packed)
 
     def constant_value(self) -> int:
         """The integer value of a constant polynomial."""
-        if not self.terms:
+        if not self._packed:
             return 0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return self._packed[0]
 
     def is_unit(self) -> bool:
         """True iff the polynomial is 1 or -1 (the units of Z[g...])."""
@@ -235,7 +305,7 @@ class MultiPoly:
         if k == 0:
             raise ZeroDivisionError("division by zero")
         out = {}
-        for exps, c in self.terms.items():
+        for exps, c in self._packed.items():
             q, r = divmod(c, k)
             if r:
                 raise ValueError(f"coefficient {c} not divisible by {k}")
@@ -342,7 +412,8 @@ def parse_expression(src: str, *, constant, name_value):
     `constant(k)` turns an integer literal into a value; `name_value(name)`
     resolves a generator or symbol name (raising ValueError if unknown).
     Values must support +, -, * among themselves and ** with int exponents.
-    An exponent above MAX_EXPONENT raises ValueError.
+    A name whose exponents, summed over the factors of one product term,
+    exceed MAX_EXPONENT raises ValueError before any power is taken.
     """
     tokens = _tokenize(src)
     pos = 0
@@ -361,14 +432,15 @@ def parse_expression(src: str, *, constant, name_value):
         return tok
 
     def parse_factor():
+        """(value, exponent, name or None for an integer, column)."""
         kind, text, col = peek()
         if kind == "INT":
             take()
-            value = constant(int(text))
+            value, name = constant(int(text)), None
         elif kind == "NAME":
             take()
             try:
-                value = name_value(text)
+                value, name = name_value(text), text
             except ValueError as exc:
                 raise ValueError(f"{exc} at column {col}") from None
         else:
@@ -376,23 +448,33 @@ def parse_expression(src: str, *, constant, name_value):
                 f"expected a number or name at column {col}, "
                 f"found {text or 'end of input'!r}"
             )
+        k = 1
         if peek()[0] == "^":
             take()
-            _, exp_text, exp_col = take("INT")
+            _, exp_text, col = take("INT")
             k = int(exp_text)
-            if k > MAX_EXPONENT:
-                raise ValueError(
-                    f"exponent {k} at column {exp_col} exceeds the maximum "
-                    f"{MAX_EXPONENT}"
-                )
-            value = value ** k
-        return value
+        return value, k, name, col
 
     def parse_term():
-        value = parse_factor()
+        factors = [parse_factor()]
         while peek()[0] == "*":
             take()
-            value = value * parse_factor()
+            factors.append(parse_factor())
+        # Check the whole term before taking any power.
+        degrees = {}
+        for _, k, name, col in factors:
+            total = k + degrees.get(name, 0) if name else k
+            if total > MAX_EXPONENT:
+                raise ValueError(
+                    f"exponent {total} at column {col} exceeds the maximum "
+                    f"{MAX_EXPONENT} for one name in one product term"
+                )
+            if name:
+                degrees[name] = total
+        value = None
+        for v, k, _, _ in factors:
+            v = v ** k if k != 1 else v
+            value = v if value is None else value * v
         return value
 
     def parse_sum():

@@ -227,18 +227,18 @@ def _push(columns, vector) -> dict:
         col = columns.get(j)
         if not col:
             continue
-        ct = c.terms
+        ct = c._packed
         for i, v in col.items():
             terms = acc.get(i)
             if terms is None:
                 terms = acc[i] = {}
-            _mul_into(terms, ct, v.terms)
+            _mul_into(terms, ct, v._packed)
         gens = c.gens
     out = {}
     for i, terms in acc.items():
-        terms = {e: x for e, x in terms.items() if x}
-        if terms:
-            out[i] = MultiPoly._canonical(gens, terms)
+        p = MultiPoly._product(gens, terms)
+        if p._packed:
+            out[i] = p
     return out
 
 
@@ -258,7 +258,7 @@ def _sum(a: dict, b: dict) -> dict:
 
 def _vector(u: AlgebraElement) -> dict:
     """The nonzero coefficients of an element, by basis index."""
-    return {i: c for i, c in enumerate(u.coeffs) if c.terms}
+    return {i: c for i, c in enumerate(u.coeffs) if c._packed}
 
 
 def _first_difference(got: "LinearMap", want: "LinearMap"):
@@ -738,7 +738,8 @@ class FrobeniusAlgebra:
         """The nonzero (flat index, coefficient) pairs of u1 (x) ... (x) uk."""
         n, pairs = self.rank, None
         for u in elems:
-            leg = [(i, c) for i, c in enumerate(self._own(u).coeffs) if c.terms]
+            leg = [(i, c) for i, c in enumerate(self._own(u).coeffs)
+                   if c._packed]
             pairs = leg if pairs is None else [
                 (a * n + i, x * c) for a, x in pairs for i, c in leg
             ]

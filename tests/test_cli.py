@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from foamalg import __version__, cli
 from foamalg.cli import MAX_TRUNCATED_RANK, main
 from foamalg.coeffring import MAX_EXPONENT
 
@@ -131,7 +132,10 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nested deeper than" in err
 
-    @pytest.mark.parametrize("payload", ["a^100000000", "X^100000000"])
+    # The bound holds per name over the factors of one product term, and the
+    # last two are refused before any power is computed.
+    @pytest.mark.parametrize("payload", ["a^100000000", "X^100000000",
+                                         "X^100*X^100", "X^60*X^60"])
     def test_huge_exponent_is_an_error(self, capsys, payload):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                              "--expr", f"label({payload})")
@@ -256,3 +260,67 @@ class TestConfig:
         code, out, err = run(capsys, "laws", "--algebra", "missing.json",
                              "--theta", "zero")
         assert code == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("generators", 5, "'generators' must be a list of names"),
+        ("generators", ["a", 1], "'generators' must be a list of names"),
+        ("modulus", ["-c", "-b", 1.5, "1"], "'modulus' must be a list"),
+        ("counit", "0", "'counit' must be a list"),
+    ])
+    def test_config_field_types(self, capsys, tmp_path, field, value, message):
+        doc = {"generators": ["a", "b", "c"],
+               "modulus": ["-c", "-b", "-a", "1"], "counit": ["0", "0", "-1"]}
+        doc[field] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "zero")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
+    def test_config_must_be_an_object(self, capsys, tmp_path, text):
+        config = tmp_path / "bad.json"
+        config.write_text(text)
+        for argv in (["--algebra", str(config), "--theta", "zero"],
+                     ["--algebra", "mv", "--theta", str(config)]):
+            code, out, err = run(capsys, "laws", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: config {str(config)!r} is not a JSON object\n"
+
+
+class TestMain:
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(ctx, names):
+            raise RuntimeError("broken invariant")
+        monkeypatch.setattr(cli, "run_suite", broken)
+        code, out, err = run(capsys, "laws", "--algebra", "mv", "--theta", "mv")
+        assert (code, out) == (3, "")
+        assert err == "internal error: RuntimeError: broken invariant\n"
+
+    def version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_consecutive_calls_share_one_parser(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        assert self.version(capsys) == f"{__version__}\n"
+        for _ in range(2):
+            assert run(capsys, "laws", "--algebra", "mv", "--theta", "mv",
+                       "--suite", "jacobi", "--format", "json") == (
+                0, '[\n  {\n    "law": "jacobi",\n    "passed": true,\n'
+                   '    "cases": 27\n  }\n]\n', "")
+            assert run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                       "--expr", "unit ; counit") == (0, "0\n", "")
+            code, out, err = run(capsys, "report", "--algebra", "mv",
+                                 "--theta", "mv", "--suite", "jacobi")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["results"] == [
+                {"law": "jacobi", "passed": True, "cases": 27}]
+            assert self.version(capsys) == f"{__version__}\n"
+        # A default of one subcommand does not leak into the next call.
+        assert run(capsys, "laws", "--algebra", "mv", "--theta", "mv",
+                   "--suite", "jacobi")[1] == "[PASS] jacobi: 27 cases\n"

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from foamalg.coeffring import MultiPoly, parse_poly
+from foamalg.coeffring import EXPONENT_LIMIT, MAX_EXPONENT, MultiPoly, \
+    parse_expression, parse_poly
+from foamalg.frobalg import _push
 
 GENS = ("a", "b", "c")
 
@@ -171,6 +173,120 @@ class TestArithmeticOracle:
         assert got == naive(p.terms.items())
 
 
+WIDE = ("w", "x", "y", "z")
+# Exponents at both ends of a byte and of half a packed field; two of them
+# add up to at most EXPONENT_LIMIT - 2, so every product stays in range.
+wide_exponents = st.sampled_from([0, 1, 2, 255, 256, EXPONENT_LIMIT // 2 - 1])
+wide_pairs = st.lists(
+    st.tuples(st.tuples(*[wide_exponents] * len(WIDE)), st.integers(-5, 5)),
+    max_size=5,
+)
+
+
+def summed(pairs) -> dict:
+    """The term map of (exponent vector, coefficient) pairs, by plain dict
+    arithmetic on tuples."""
+    out = {}
+    for exps, c in pairs:
+        out[exps] = out.get(exps, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def render(gens, terms: dict) -> str:
+    """Terms in descending exponent-tuple order, in the polynomial syntax."""
+    text = ""
+    for exps, c in sorted(terms.items(), reverse=True):
+        factors = [g if e == 1 else f"{g}^{e}" for g, e in zip(gens, exps) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        sign = "-" if c < 0 else "+"
+        text += (f" {sign} " if text else sign.strip("+")) + "*".join(factors)
+    return text or "0"
+
+
+class TestPackedKernel:
+    """Exponent vectors are packed into one int per monomial; the tuple view
+    `terms`, rendering, equality and hashing must not show it."""
+
+    @given(wide_pairs)
+    def test_terms_round_trip_through_the_constructor(self, pairs):
+        p = MultiPoly(WIDE, pairs)
+        assert dict(p.terms) == summed(pairs)
+        assert MultiPoly(WIDE, p.terms) == p
+        assert MultiPoly(WIDE, dict(p.terms)) == p
+        with pytest.raises(TypeError):
+            p.terms[(0,) * len(WIDE)] = 1
+
+    @given(wide_pairs, wide_pairs)
+    def test_product_against_tuple_arithmetic(self, ps, qs):
+        # Constant terms take their own path through the product loop.
+        for p, q in ((MultiPoly(WIDE, ps), MultiPoly(WIDE, qs)),
+                     (MultiPoly(WIDE, ps) + 2, MultiPoly(WIDE, qs)),
+                     (MultiPoly(WIDE, ps), MultiPoly(WIDE, qs) - 3)):
+            want = summed(product_terms(p, q))
+            assert dict((p * q).terms) == want
+            got = _push({0: {0: q}}, [(0, p)]).get(0, MultiPoly.zero(WIDE))
+            assert dict(got.terms) == want
+
+    def test_constructor_rejects_an_exponent_at_the_limit(self):
+        top = EXPONENT_LIMIT - 1
+        p = MultiPoly(WIDE, {(top, 0, top, 1): 3})
+        assert dict(p.terms) == {(top, 0, top, 1): 3}
+        for exps in ((EXPONENT_LIMIT, 0, 0, 0), (0, 0, 0, EXPONENT_LIMIT),
+                     (0, 10 ** 9, 0, 0)):
+            with pytest.raises(ValueError, match="limit"):
+                MultiPoly(WIDE, [(exps, 1)])
+
+    @pytest.mark.parametrize("left, right", [
+        ((0, 0, 0, EXPONENT_LIMIT // 2), (0, 0, 0, EXPONENT_LIMIT // 2)),
+        ((0, EXPONENT_LIMIT - 1, 0, 0), (0, 1, 0, 0)),
+        ((EXPONENT_LIMIT - 1, 0, 0, 1), (1, 0, 0, 0)),
+    ])
+    def test_a_product_reaching_the_limit_raises(self, left, right):
+        """Such a product would be stored with a field's top bit set, and the
+        next product could carry into the neighbouring field."""
+        p, q = MultiPoly(WIDE, [(left, 1)]), MultiPoly(WIDE, [(right, 2)])
+        with pytest.raises(ValueError, match="exponent"):
+            p * q
+        with pytest.raises(ValueError, match="exponent"):
+            _push({0: {0: q}}, [(0, p)])
+
+    @given(wide_pairs)
+    def test_str_is_rendered_in_tuple_order(self, pairs):
+        assert str(MultiPoly(WIDE, pairs)) == render(WIDE, summed(pairs))
+
+    def test_str_order_across_fields(self):
+        p = MultiPoly(WIDE, [((0, 0, 0, 300), 1), ((0, 1, 0, 0), -2),
+                             ((1, 0, 0, 0), 1), ((0, 0, 0, 0), 7)])
+        assert str(p) == "w - 2*x + z^300 + 7"
+
+    def test_equal_values_by_different_routes_hash_equal(self):
+        def gen(name):
+            return MultiPoly.gen(WIDE, name)
+        one, x, y = MultiPoly.one(WIDE), gen("x"), gen("y")
+        routes = [
+            [parse_poly("x*y^2 - 1", WIDE),
+             MultiPoly(WIDE, {(0, 1, 2, 0): 1, (0, 0, 0, 0): -1}),
+             MultiPoly(WIDE, [((0, 1, 2, 0), 3), ((0, 0, 0, 0), -1),
+                              ((0, 1, 2, 0), -2)]),
+             x * y * y - one,
+             (x + 1) * y ** 2 - y * y - 1,
+             -(1 - x * y ** 2),
+             parse_poly("y^2*x - 1", ("y", "x")).embed(WIDE),
+             _push({0: {0: y * y}}, [(0, x)])[0] - 1],
+            [MultiPoly.zero(WIDE), MultiPoly.const(WIDE, 0),
+             MultiPoly(WIDE, []), MultiPoly(WIDE, {(3, 0, 0, 0): 0}),
+             x - x, x * 0, parse_poly("w - w", WIDE)],
+            [MultiPoly.const(WIDE, 5), 5 * one, one + 4, parse_poly("5", WIDE),
+             MultiPoly(WIDE, {(0, 0, 0, 0): 5}), (x - x) + 5],
+        ]
+        for values in routes:
+            for p in values:
+                assert p == values[0] and hash(p) == hash(values[0])
+            assert len({p: None for p in values}) == 1
+        assert MultiPoly.const(WIDE, 5) == 5 and MultiPoly.zero(WIDE) == 0
+
+
 class TestHelpers:
     def test_exact_div(self):
         assert P("2*a + 4").exact_div_int(2) == P("a + 2")
@@ -214,6 +330,34 @@ class TestTextSyntax:
             P("a + + b")
         with pytest.raises(ValueError, match="column"):
             P("a *")
+
+    def test_exponent_bound_per_product_term(self):
+        k = MAX_EXPONENT
+        assert P(f"a^{k} * b^{k} - a^{k}") == \
+            P(f"a^{k}") * P(f"b^{k}") - P(f"a^{k}")
+        assert P("*".join(["a"] * k)) == P(f"a^{k}")
+        for src in (f"a^{k} * a", "a^60 * a^60", "*".join(["a"] * (k + 1)),
+                    f"b + c * a^{k - 1} * 2 * a^2", f"2^{k + 1}"):
+            with pytest.raises(ValueError,
+                               match=f"exceeds the maximum {MAX_EXPONENT}"):
+                P(src)
+
+    def test_exponent_bound_is_checked_before_any_power(self):
+        powers = []
+
+        class Value:
+            def __pow__(self, k):
+                powers.append(k)
+                return self
+
+            def __mul__(self, other):
+                return self
+
+        with pytest.raises(ValueError,
+                           match="exponent 120 at column 10 exceeds"):
+            parse_expression("x^60 * x^60", constant=lambda k: Value(),
+                             name_value=lambda name: Value())
+        assert powers == []
 
     def test_deterministic_term_order(self):
         assert str(P("b + a^2")) == str(P("a^2 + b"))
