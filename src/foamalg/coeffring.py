@@ -15,6 +15,7 @@ vectors", CASC 2007).
 
 from __future__ import annotations
 
+import heapq
 import operator
 from collections.abc import Mapping
 from functools import cache, reduce
@@ -300,16 +301,43 @@ class MultiPoly:
         """True iff the polynomial is 1 or -1 (the units of Z[g...])."""
         return self.is_constant() and self.constant_value() in (1, -1)
 
-    def exact_div_int(self, k: int) -> "MultiPoly":
-        """Divide every coefficient by the integer k, requiring exactness."""
-        if k == 0:
+    def exact_div(self, d) -> "MultiPoly":
+        """self / d for an int or MultiPoly d dividing self, else ValueError.
+
+        Leading-term division (the largest packed key leads).  If d divides
+        self, each quotient term is one of the true quotient, so its fields
+        stay below EXPONENT_LIMIT and adding d's keys never carries; a
+        remainder key with a top bit set, or that borrows from a field of d's
+        leading key, shows that d does not divide self."""
+        d = self._coerce(d)
+        if d is None:
+            raise TypeError("exact_div needs an int or a MultiPoly divisor")
+        if not d:
             raise ZeroDivisionError("division by zero")
+        if d.is_unit():
+            return self if d._packed[0] == 1 else -self
+        top = _top_bits(len(self.gens))
+        lead = max(d._packed)
+        lead_c = d._packed[lead]
+        rest = [(e, c) for e, c in d._packed.items() if e != lead]
+        rem = dict(self._packed)
+        heap = sorted(-e for e in rem)  # a sorted list is a heap
         out = {}
-        for exps, c in self._packed.items():
-            q, r = divmod(c, k)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {k}")
-            out[exps] = q
+        while rem:
+            k = -heapq.heappop(heap)
+            q, r = divmod(rem.pop(k), lead_c)
+            if not q and not r:
+                continue
+            diff = (k | top) - lead
+            if r or k & top or diff & top != top:
+                raise ValueError(f"{self} not divisible by {d}")
+            e = diff ^ top
+            out[e] = q
+            for ed, cd in rest:
+                key = e + ed
+                if key not in rem:
+                    heapq.heappush(heap, -key)
+                rem[key] = rem.get(key, 0) - q * cd
         return MultiPoly._canonical(self.gens, out)
 
     def embed(self, gens) -> "MultiPoly":
@@ -404,6 +432,22 @@ def _tokenize(src: str):
             raise ValueError(f"unexpected character {ch!r} at column {col}")
     tokens.append(("EOF", "", n + 1))
     return tokens
+
+
+def name_degrees(src: str) -> dict:
+    """Per name, the largest exponent sum over the product terms of `src` (a
+    factor without `^` counts 1), read from the tokens alone."""
+    tokens, degrees, term = _tokenize(src), {}, {}
+    for i, (kind, text, _) in enumerate(tokens):
+        if kind == "NAME":
+            power = tokens[i + 1][0] == "^" and tokens[i + 2][0] == "INT"
+            k = int(tokens[i + 2][1]) if power else 1
+            term[text] = term.get(text, 0) + k
+        elif kind in ("+", "-", "EOF"):
+            for name, d in term.items():
+                degrees[name] = max(degrees.get(name, 0), d)
+            term = {}
+    return degrees
 
 
 def parse_expression(src: str, *, constant, name_value):

@@ -24,7 +24,7 @@ from functools import reduce
 from typing import Optional
 
 from .branchops import BranchContext, LinearMap
-from .coeffring import MultiPoly
+from .coeffring import MAX_EXPONENT, MultiPoly, name_degrees
 
 
 GENERATOR_ARITIES = {
@@ -302,6 +302,27 @@ _GENERATOR_MAPS = {
 }
 
 
+def _check_label_degrees(e: DiagramExpr) -> None:
+    """Composing or tensoring labels multiplies their coefficients, so one
+    diagram's labels share the MAX_EXPONENT bound: per name, the largest
+    exponent sum over one payload's product terms, added over every label."""
+    totals: dict[str, int] = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, Generator):
+            stack.extend(reversed(node.parts))
+        elif node.name == "label":
+            for name, d in name_degrees(node.payload).items():
+                totals[name] = totals.get(name, 0) + d
+                if totals[name] > MAX_EXPONENT:
+                    raise ValueError(
+                        f"labels up to line {node.pos[0]}, column "
+                        f"{node.pos[1]} raise {name!r} to degree "
+                        f"{totals[name]}, which exceeds the maximum "
+                        f"{MAX_EXPONENT} for one name in one diagram")
+
+
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
     """Compile a well-typed expression to its exact matrix.
 
@@ -309,6 +330,7 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
     product, and composition becomes matrix product in bottom-to-top order.
     """
     typecheck(e)
+    _check_label_degrees(e)
 
     def build(node) -> LinearMap:
         if isinstance(node, Generator):

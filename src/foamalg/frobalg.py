@@ -19,7 +19,6 @@ basis (and hence delta_one) exists over Z[g...] without passing to fractions.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, reduce
 from .coeffring import MultiPoly, _mul_into, parse_expression
 
@@ -443,117 +442,51 @@ class LinearMap:
 # -- exact linear algebra over the coefficient ring --------------------------
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _poly_determinant(mat, gens) -> MultiPoly:
-    """Determinant by dynamic programming over column subsets.
-
-    Stays entirely inside Z[g...]; no division is performed.  Cost is
-    O(n * 2^n) ring multiplications, fine for the small ranks where Gram
-    matrices have non-constant entries.
-    """
-    n = len(mat)
-    zero = MultiPoly.zero(gens)
-    if n == 0:
-        return MultiPoly.one(gens)
-    prev = {0: MultiPoly.one(gens)}
-    for r in range(n):
-        cur: dict[int, MultiPoly] = {}
-        for mask, val in prev.items():
-            for c in range(n):
-                bit = 1 << c
-                if mask & bit:
-                    continue
-                entry = mat[r][c]
-                if not entry:
-                    continue
-                term = val * entry
-                if _popcount(mask >> (c + 1)) % 2:
-                    term = -term
-                s = cur.get(mask | bit)
-                s = term if s is None else s + term
-                cur[mask | bit] = s
-        prev = {m: v for m, v in cur.items() if v}
-    return prev.get((1 << n) - 1, zero)
-
-
-def _poly_adjugate_inverse(mat, gens):
-    """(det, inverse) of a matrix over Z[g...] with unit determinant.
-
-    The inverse is obtained from the adjugate: adj[j][i] is the signed minor
-    at (i, j), and for det = ±1 the inverse is det * adjugate.
-    """
-    n = len(mat)
-    det = _poly_determinant(mat, gens)
-    if not det.is_unit():
-        raise DegenerateFormError(
-            f"degenerate or non-unimodular Frobenius form: det(gram) = {det}"
-        )
-    sign = det.constant_value()
-    inv = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = [
-                [mat[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            minor = _poly_determinant(sub, gens)
-            if (i + j) % 2:
-                minor = -minor
-            entry = minor if sign == 1 else -minor
-            inv[j][i] = entry
-    return det, inv
-
-
-def _const_inverse(mat, gens):
-    """(det, inverse) for a matrix of constant entries, via exact fractions."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j].constant_value()) for j in range(n)] for i in range(n)]
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise DegenerateFormError(
-                "degenerate or non-unimodular Frobenius form: det(gram) = 0"
-            )
-        if pivot != col:
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            det = -det
-        det *= aug[col][col]
-        inv_pivot = 1 / aug[col][col]
-        aug[col] = [x * inv_pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    if det not in (1, -1):
-        raise DegenerateFormError(
-            f"degenerate or non-unimodular Frobenius form: det(gram) = {det}"
-        )
-    inv = [
-        [MultiPoly.const(gens, int(aug[i][n + j])) for j in range(n)]
-        for i in range(n)
-    ]
-    return MultiPoly.const(gens, int(det)), inv
-
-
 def unimodular_inverse(mat, gens):
-    """Invert a symmetric matrix over Z[g...], requiring determinant ±1.
+    """(det, inverse) of a square matrix over Z[g...] of determinant ±1.
+
+    One fraction-free Gauss-Jordan (Bareiss 1968) elimination on [G | I],
+    for constant and polynomial matrices of any rank: step k replaces every
+    other row by (piv * row - row[k] * pivot_row) / prev, an exact division
+    since each entry is then a minor of [G | I].  The last pivot is det(PG)
+    for the row swaps P, and the right half ends as det(PG) * G^-1.  Rows
+    are sparse; a row with no entry in column k is skipped while piv == prev.
 
     Raises DegenerateFormError when the determinant is not a unit: the dual
     basis then cannot be expressed in the given basis over the integer ring.
     """
     n = len(mat)
-    if all(mat[i][j].is_constant() for i in range(n) for j in range(n)):
-        return _const_inverse(mat, gens)
-    if n > 14:
+    one, zero = MultiPoly.one(gens), MultiPoly.zero(gens)
+    rows = [{**{j: x for j, x in enumerate(row) if x}, n + i: one}
+            for i, row in enumerate(mat)]
+    prev, sign = one, 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if k in rows[r]), None)
+        if p is None:
+            prev = zero
+            break
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        piv = pivot_row[k]
+        for r, row in enumerate(rows):
+            f = row.get(k)
+            if r == k or (f is None and piv == prev):
+                continue
+            new = {j: piv * x for j, x in row.items()}
+            if f is not None:
+                for j, y in pivot_row.items():
+                    new[j] = new[j] - f * y if j in new else -(f * y)
+            rows[r] = {j: x.exact_div(prev) for j, x in new.items() if x}
+        prev = piv
+    det = prev if sign > 0 else -prev
+    if not det.is_unit():
         raise DegenerateFormError(
-            "polynomial Gram matrices above rank 14 are not supported"
+            f"degenerate or non-unimodular Frobenius form: det(gram) = {det}"
         )
-    return _poly_adjugate_inverse(mat, gens)
+    inv = [[row.get(n + j, zero) for j in range(n)] for row in rows]
+    return det, inv if prev == one else [[-x for x in row] for row in inv]
 
 
 # -- the algebra itself -------------------------------------------------------

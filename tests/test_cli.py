@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,29 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                              "--expr", f"unit ; label(a^{k} * X^2) ; counit")
         assert (code, out.strip(), err) == (0, f"-a^{k}", "")
+
+    # Composing or tensoring labels multiplies their coefficients, so one
+    # diagram's labels share the bound; each of these would otherwise run
+    # for 10 s or more and print megabytes.
+    @pytest.mark.parametrize("expr", ["label(X^100) ; label(X^100)",
+                                      "(label(X^100) * label(X^100)) ; mul"])
+    def test_labels_share_the_exponent_bound(self, capsys, expr):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta",
+                             "mv", "--expr", expr)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "to degree 200," in err
+        assert f"exceeds the maximum {MAX_EXPONENT}" in err
+
+    def test_labels_within_the_shared_bound(self, capsys):
+        half = MAX_EXPONENT // 2
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta",
+                             "mv", "--expr", f"label(X^{half}) ; label(X^{half})")
+        assert (code, err) == (0, "")
+        assert run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                   "--expr", f"label(X^{2 * half})") == (0, out, "")
 
     def test_json_closed(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",

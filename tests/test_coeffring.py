@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foamalg.coeffring import EXPONENT_LIMIT, MAX_EXPONENT, MultiPoly, \
-    parse_expression, parse_poly
+    name_degrees, parse_expression, parse_poly
 from foamalg.frobalg import _push
 
 GENS = ("a", "b", "c")
@@ -168,7 +168,7 @@ class TestArithmeticOracle:
     @given(polys, st.integers(-4, 4).filter(bool))
     def test_exact_div_int(self, p, k):
         scaled = naive((e, k * c) for e, c in p.terms.items())
-        got = scaled.exact_div_int(k)
+        got = scaled.exact_div(k)
         assert_canonical(got)
         assert got == naive(p.terms.items())
 
@@ -202,6 +202,71 @@ def render(gens, terms: dict) -> str:
         sign = "-" if c < 0 else "+"
         text += (f" {sign} " if text else sign.strip("+")) + "*".join(factors)
     return text or "0"
+
+
+class TestExactDiv:
+    """Leading-term division by an int or a polynomial, exact or ValueError."""
+
+    @given(polys, polys.filter(bool))
+    def test_product_divided_by_a_factor(self, p, q):
+        got = (p * q).exact_div(q)
+        assert_canonical(got)
+        assert got == p
+
+    @given(polys, polys.filter(lambda q: q and not q.is_unit()))
+    def test_a_non_multiple_raises(self, p, q):
+        # q divides p*q + 1 only if it divides 1, that is, only if q = ±1.
+        with pytest.raises(ValueError, match="not divisible"):
+            (p * q + 1).exact_div(q)
+
+    @given(wide_pairs, wide_pairs.filter(any))
+    def test_wide_quotients(self, ps, qs):
+        p, q = MultiPoly(WIDE, ps), MultiPoly(WIDE, qs)
+        if q:
+            assert dict((p * q).exact_div(q).terms) == dict(p.terms)
+            if not q.is_unit():
+                with pytest.raises(ValueError, match="not divisible"):
+                    (p * q + 1).exact_div(q)
+
+    @pytest.mark.parametrize("num, den", [
+        # Each field of the dividend's leading monomial must be at least the
+        # divisor's: one short field, and no other, makes it no multiple.
+        ((256, 255, 0, 0), (255, 256, 0, 0)),
+        ((1, 0, 0, 0), (0, 0, 0, 1)),
+        ((EXPONENT_LIMIT // 2 - 1, 0, 0, 255), (0, 0, 0, 256)),
+        ((2, 0, EXPONENT_LIMIT - 1, 0), (2, 1, 0, 0)),
+    ])
+    def test_a_field_that_borrows_is_no_multiple(self, num, den):
+        p, q = MultiPoly(WIDE, [(num, 6)]), MultiPoly(WIDE, [(den, 2)])
+        with pytest.raises(ValueError, match="not divisible"):
+            p.exact_div(q)
+        with pytest.raises(ValueError, match="not divisible"):
+            p.exact_div(q + 1)
+
+    def test_monomial_quotient_at_field_edges(self):
+        top = EXPONENT_LIMIT - 1
+        p = MultiPoly(WIDE, [((top, 256, 255, top), -12)])
+        q = MultiPoly(WIDE, [((0, 255, 255, 1), 4)])
+        assert p.exact_div(q) == MultiPoly(WIDE, [((top, 1, 0, top - 1), -3)])
+
+    @given(polys)
+    def test_division_by_a_unit(self, p):
+        assert p.exact_div(1) is p
+        assert p.exact_div(MultiPoly.one(GENS)) is p
+        assert p.exact_div(-1) == -p
+        assert p.exact_div(MultiPoly.const(GENS, -1)) == -p
+
+    @given(polys)
+    def test_division_by_zero(self, p):
+        for zero in (0, MultiPoly.zero(GENS)):
+            with pytest.raises(ZeroDivisionError):
+                p.exact_div(zero)
+
+    def test_other_ring_or_type(self):
+        with pytest.raises(ValueError, match="generator mismatch"):
+            P("a").exact_div(parse_poly("a", ("a",)))
+        with pytest.raises(TypeError):
+            P("a").exact_div(1.0)
 
 
 class TestPackedKernel:
@@ -289,9 +354,9 @@ class TestPackedKernel:
 
 class TestHelpers:
     def test_exact_div(self):
-        assert P("2*a + 4").exact_div_int(2) == P("a + 2")
+        assert P("2*a + 4").exact_div(2) == P("a + 2")
         with pytest.raises(ValueError, match="not divisible"):
-            P("a").exact_div_int(2)
+            P("a").exact_div(2)
 
     def test_is_unit(self):
         assert P("1").is_unit() and P("-1").is_unit()
@@ -341,6 +406,11 @@ class TestTextSyntax:
             with pytest.raises(ValueError,
                                match=f"exceeds the maximum {MAX_EXPONENT}"):
                 P(src)
+
+    def test_name_degrees(self):
+        assert name_degrees("a^3*b + 2^9*a*a - X^2*X*a") == \
+            {"a": 3, "b": 1, "X": 3}
+        assert name_degrees("7") == {}
 
     def test_exponent_bound_is_checked_before_any_power(self):
         powers = []

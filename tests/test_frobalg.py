@@ -1,5 +1,8 @@
+import math
+import re
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import (
@@ -9,6 +12,7 @@ from foamalg.frobalg import (
     algebra_from_modulus,
     mv_algebra,
     truncated_algebra,
+    unimodular_inverse,
 )
 from foamalg.groupfoam import group_ring
 
@@ -430,3 +434,91 @@ class TestPush:
             mv.identity_map >> cubic.identity_map
         with pytest.raises(ValueError, match="generator mismatch"):
             mv.identity_map.apply(cubic.tensor(cubic.unit))
+
+
+AB = ("a", "b")
+
+
+def matmul(x, y, gens):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))),
+                 MultiPoly.zero(gens)) for j in range(len(y[0]))]
+            for i in range(len(x))]
+
+
+def identity(n, gens):
+    return [[MultiPoly.const(gens, int(i == j)) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def unimodular(draw):
+    """(L D L^T conjugated by a permutation, det D): L unit lower-triangular
+    with small entries in Z[a, b], D diagonal with entries ±1.  The
+    permutation puts zeros on the diagonal often enough to need row swaps."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(["0", "0", "1", "-2", "a", "b - 1", "a*b + a",
+                             "a^2 - b"])
+    L = [[parse_poly("1", AB) if i == j else
+          parse_poly(draw(entry), AB) if j < i else MultiPoly.zero(AB)
+          for j in range(n)] for i in range(n)]
+    signs = [draw(st.sampled_from([1, -1])) for _ in range(n)]
+    LD = [[x * signs[j] for j, x in enumerate(row)] for row in L]
+    G = matmul(LD, [list(col) for col in zip(*L)], AB)
+    perm = draw(st.permutations(range(n)))
+    G = [[G[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return G, math.prod(signs)
+
+
+def top_form_hankel(n):
+    """The Gram matrix of the top-degree form on Z[a1..an][X]/(X^n - a1 X^(n-1)
+    - ... - an): entry (i, j) is the coefficient h_(i+j) of X^(n-1) in
+    X^(i+j), with h_m = 0 below n - 1, h_(n-1) = 1 and h_m = sum_k a_k
+    h_(m-k) above."""
+    gens = tuple(f"a{k}" for k in range(1, n + 1))
+    a = [MultiPoly.gen(gens, g) for g in gens]
+    h = [MultiPoly.const(gens, int(m == n - 1)) for m in range(n)]
+    for m in range(n, 2 * n - 1):
+        h.append(sum((a[k] * h[m - 1 - k] for k in range(n)),
+                     MultiPoly.zero(gens)))
+    return gens, [[h[i + j] for j in range(n)] for i in range(n)]
+
+
+class TestUnimodularInverse:
+    @settings(max_examples=60, deadline=None)
+    @given(unimodular())
+    def test_inverse_of_random_unimodular(self, case):
+        G, want_det = case
+        n = len(G)
+        det, inv = unimodular_inverse(G, AB)
+        assert det == MultiPoly.const(AB, want_det)
+        assert matmul(G, inv, AB) == identity(n, AB)
+        assert matmul(inv, G, AB) == identity(n, AB)
+
+    @pytest.mark.parametrize("gens, rows, det", [
+        ((), [["1", "2"], ["2", "4"]], "0"),
+        ((), [["0", "0"], ["0", "1"]], "0"),
+        (AB, [["a", "a*b"], ["b", "b^2"]], "0"),
+        (AB, [["a", "0", "1"], ["0", "b", "0"], ["1", "0", "a"]], "a^2*b - b"),
+        ((), [["0", "2"], ["2", "0"]], "-4"),
+        (AB, [["a", "2"], ["2", "0"]], "-4"),
+        (AB, [["a", "1", "0"], ["1", "0", "0"], ["0", "0", "4"]], "-4"),
+    ])
+    def test_singular_and_non_unit_determinants_are_refused(
+            self, gens, rows, det):
+        mat = [[parse_poly(x, gens) for x in row] for row in rows]
+        with pytest.raises(DegenerateFormError,
+                           match=rf"det\(gram\) = {re.escape(det)}$"):
+            unimodular_inverse(mat, gens)
+
+    def test_generic_rank_15_top_form(self):
+        # The matrix is inverted directly: building and validating the whole
+        # algebra at this rank takes far longer.
+        gens, G = top_form_hankel(15)
+        det, inv = unimodular_inverse(G, gens)
+        # The antidiagonal of ones under zeros is the reversal permutation,
+        # of sign (-1)^(15 * 14 / 2).
+        assert det == MultiPoly.const(gens, -1)
+        assert matmul(G, inv, gens) == identity(15, gens)
+        # The dual basis of the top form is linear in the a_k.
+        assert all(sum(exps) <= 1 for row in inv for x in row
+                   for exps in x.terms)

@@ -1,0 +1,112 @@
+"""sympy as an independent oracle for the Gram matrix, its determinant and
+inverse, the dual basis and the handle scalar of quotient algebras
+Z[g...][X]/(m).  Skipped when sympy is not installed; it is a test-only
+dependency."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foamalg.coeffring import MultiPoly
+from foamalg.frobalg import algebra_from_modulus
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("X")
+RINGS = {(): (), ("a", "b"): sympy.symbols("a b")}
+
+
+def to_sympy(p: MultiPoly, symbols):
+    return sympy.Add(*(
+        c * sympy.Mul(*(s ** e for s, e in zip(symbols, exps)))
+        for exps, c in p.terms.items()
+    ))
+
+
+def from_sympy(expr, gens, symbols) -> MultiPoly:
+    expr = sympy.expand(expr)
+    if not gens:
+        return MultiPoly.const((), int(expr))
+    return MultiPoly(gens, {
+        exps: int(c) for exps, c in sympy.Poly(expr, *symbols).terms()
+    })
+
+
+def top_moments(modulus, n):
+    """t(X^m) for m < 2n - 1, where t reads the coefficient of X^(n-1) of
+    the remainder of X^m by the monic modulus (lowest degree first)."""
+    m = sum(c * X ** k for k, c in enumerate(modulus))
+    return [sympy.rem(X ** k, m, X).coeff(X, n - 1) for k in range(2 * n - 1)]
+
+
+def monic(gens):
+    """Lower coefficients of a monic modulus over Z[gens], lowest first, and
+    whether to keep the constant coefficient a unit (so that X is one)."""
+    if gens:
+        a, b = RINGS[gens]
+        coeff = st.builds(lambda u, v, w, z: u + v * a + w * b + z * a * b,
+                          *[st.integers(-2, 2)] * 4)
+    else:
+        coeff = st.integers(-4, 4).map(sympy.Integer)
+    return st.tuples(st.lists(coeff, min_size=1, max_size=3),
+                     st.sampled_from([1, -1]))
+
+
+@st.composite
+def algebras(draw, gens):
+    """(modulus, counit) of rank 2..4 whose Gram determinant is ±1: the top
+    form t, or u -> ±t(X^k u), which differs from t by the norm ±m(0) of X^k
+    and is therefore unimodular when the constant coefficient m(0) is ±1."""
+    lower, unit = draw(monic(gens))
+    shift = draw(st.integers(0, len(lower)))
+    if shift:
+        lower = [sympy.Integer(unit)] + lower
+    modulus = lower + [sympy.Integer(1)]
+    n = len(lower)
+    moments = top_moments(modulus, n)
+    counit = [unit * moments[shift + i] for i in range(n)]
+    return modulus, counit
+
+
+def build(gens, modulus, counit):
+    symbols = RINGS[gens]
+    return algebra_from_modulus(
+        gens,
+        [from_sympy(c, gens, symbols) for c in modulus],
+        [from_sympy(c, gens, symbols) for c in counit],
+    )
+
+
+def gram_oracle(modulus, counit):
+    n = len(counit)
+    m = sum(c * X ** k for k, c in enumerate(modulus))
+    eps = [sympy.expand(sum(
+        counit[d] * sympy.rem(X ** (i + j), m, X).coeff(X, d) for d in range(n)
+    )) for i in range(n) for j in range(n)]
+    return sympy.Matrix(n, n, eps)
+
+
+@pytest.mark.parametrize("gens", list(RINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_gram_inverse_dual_basis_and_handle(gens, data):
+    modulus, counit = data.draw(algebras(gens))
+    A = build(gens, modulus, counit)
+    symbols, n = RINGS[gens], A.rank
+    G = gram_oracle(modulus, counit)
+    assert [[to_sympy(g, symbols) for g in row] for row in A.gram] == \
+        [[sympy.expand(G[i, j]) for j in range(n)] for i in range(n)]
+
+    det = sympy.expand(G.det())
+    assert det in (1, -1)
+    assert to_sympy(A.gram_det, symbols) == det
+
+    inv = G.inv()
+    for j, y in enumerate(A.dual_basis):
+        # Column j of G^-1 holds the coordinates of the dual element y_j.
+        for i in range(n):
+            assert sympy.expand(inv[i, j] - to_sympy(y.coeffs[i], symbols)) == 0
+
+    handle = sympy.expand(sum(inv[i, j] * G[i, j]
+                              for i in range(n) for j in range(n)))
+    assert handle == n
+    assert to_sympy(A.handle_scalar(), symbols) == handle
