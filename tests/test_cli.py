@@ -89,6 +89,28 @@ class TestLaws:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"n <= {MAX_TRUNCATED_RANK}" in err
 
+    @pytest.mark.parametrize("rank, code", [
+        (MAX_TRUNCATED_RANK, 0), (MAX_TRUNCATED_RANK + 1, 2),
+    ])
+    def test_config_rank_bound(self, capsys, tmp_path, rank, code):
+        # Z[X]/(X^rank); the bound applies before the modulus is parsed,
+        # so an unparsable entry still reads as the rank error.
+        config = tmp_path / "alg.json"
+        config.write_text(json.dumps({
+            "generators": [],
+            "modulus": [0] * rank + [1] if code == 0 else ["(("] * rank + [1],
+            "counit": [0] * (rank - 1) + [1],
+        }))
+        got, out, err = run(capsys, "laws", "--algebra", str(config),
+                            "--theta", "zero", "--suite", "antisym")
+        assert got == code
+        if code == 0:
+            assert f"[PASS] antisymmetry: {rank * rank} cases" in out
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"rank bound {MAX_TRUNCATED_RANK}" in err
+
 
 class TestEval:
     def test_handle_matrix(self, capsys):

@@ -79,6 +79,105 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"not associative at \(1, 1, 2\)"):
             FrobeniusAlgebra((), ["1", "x", "y"], table, [0, 0, 1])
 
+    @pytest.mark.parametrize("symbols, triple", [
+        # u = 1 passes every (i, u, k) triple but reaches only e_0, so the
+        # check falls back to the whole basis and still finds (1, 1, 2)
+        ({"u": [1, 0, 0]}, "1, 1, 2"),
+        # x reaches x and x*x = y, so S = {x} and the triple names x
+        ({"x": [0, 1, 0]}, "1, x, 2"),
+    ])
+    def test_non_associative_table_with_symbols(self, symbols, triple):
+        one, x, y, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
+        table = [[one, x, y], [x, y, z], [y, z, x]]
+        with pytest.raises(ValueError, match=rf"not associative at \({triple}\)"):
+            FrobeniusAlgebra((), ["1", "x", "y"], table, [0, 0, 1],
+                             symbols=symbols)
+
+
+@st.composite
+def unital_tables(draw):
+    """(table, symbols): a random commutative table of rank 2 to 4 with unit
+    e_0 and entries in {-1, 0, 1}, and up to two symbols.  Products and
+    symbols are often single basis elements, so that tables are often
+    associative.  Half the tables have e_1 e_i = e_(i+1) below the top and
+    the symbol x = e_1, which then generates them."""
+    n = draw(st.integers(2, 4))
+    e = [[int(a == k) for a in range(n)] for k in range(n)]
+    vector = st.lists(st.sampled_from([0, 0, 1, -1]), min_size=n, max_size=n)
+    entry = st.one_of(st.sampled_from(e), st.just([0] * n), vector)
+    table = [list(e) for _ in range(n)]
+    for i in range(1, n):
+        table[i][0] = e[i]
+        for j in range(i, n):
+            table[i][j] = table[j][i] = draw(entry)
+    vectors = draw(st.lists(st.one_of(st.sampled_from(e), vector), max_size=2))
+    symbols = {f"s{m}": v for m, v in enumerate(vectors)}
+    if draw(st.booleans()):
+        for i in range(1, n - 1):
+            table[1][i] = table[i][1] = e[i + 1]
+        symbols["x"] = e[1]
+    return table, symbols
+
+
+def first_non_associative(table):
+    """The first (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), by a plain
+    n^3 loop over integer tables, or None."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = [sum(table[i][j][a] * table[a][k][b] for a in range(n))
+                        for b in range(n)]
+                right = [sum(table[j][k][a] * table[i][a][b] for a in range(n))
+                         for b in range(n)]
+                if left != right:
+                    return i, j, k
+    return None
+
+
+def table_product(table, u, v):
+    """u v by the integer table, in plain sums."""
+    n = len(table)
+    return [sum(u[a] * v[c] * table[a][c][b] for a in range(n) for c in range(n))
+            for b in range(n)]
+
+
+class TestLightsTest:
+    @settings(max_examples=300, deadline=None)
+    @given(unital_tables(), st.booleans())
+    def test_rejects_exactly_the_non_associative_tables(self, case, named):
+        table, symbols = case
+        n = len(table)
+        labels = ["1"] + [f"e{i}" for i in range(1, n)]
+        try:
+            FrobeniusAlgebra((), labels, table, [0] * (n - 1) + [1],
+                             symbols=symbols if named else None)
+            message = None
+        except DegenerateFormError:
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+        want = first_non_associative(table)
+        if want is None:
+            assert message is None
+            return
+        assert message is not None
+        found = re.fullmatch(
+            r"multiplication is not associative at \((\d+), (\w+), (\d+)\)",
+            message)
+        assert found, message
+        i, g, k = found.groups()
+        i, k = int(i), int(k)
+        if g.isdigit():
+            assert (i, int(g), k) == want
+        else:
+            # the reported triple is a real failure with the named symbol
+            assert named
+            e = [[int(a == b) for a in range(n)] for b in range(n)]
+            s = symbols[g]
+            assert (table_product(table, table_product(table, e[i], s), e[k])
+                    != table_product(table, e[i], table_product(table, s, e[k])))
+
 
 class TestMultiplication:
     def test_unit(self, mv):
