@@ -21,7 +21,7 @@ from .foamlang import ArityError, ParseError, eval_closed, parse, typecheck, \
 from .frobalg import FrobeniusAlgebra, algebra_from_modulus, mv_algebra, \
     truncated_algebra
 from .groupfoam import GroupRingAlgebra, derive_bialgebra_theta, group_ring
-from .lawsuite import run_suite, suite_passed
+from .lawsuite import SUITE_NAMES, run_suite, suite_passed
 from .thetafoam import ThetaTable, lie_theta, mv_theta
 
 
@@ -186,6 +186,12 @@ def _run_selected(args):
     names = None if args.suite in (None, "all") else [
         s.strip() for s in args.suite.split(",") if s.strip()
     ]
+    if names == []:
+        # Exit 0 would claim that every selected law passed, of none.
+        raise SpecError(
+            f"--suite {args.suite!r} selects no law; available: "
+            f"{', '.join(SUITE_NAMES)}, all"
+        )
     return run_suite(build_context(args), names)
 
 

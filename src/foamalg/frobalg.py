@@ -19,7 +19,7 @@ basis (and hence delta_one) exists over Z[g...] without passing to fractions.
 
 from __future__ import annotations
 
-from functools import cached_property, reduce
+from functools import cached_property
 from .coeffring import MultiPoly, _mul_into, parse_expression
 
 
@@ -176,21 +176,18 @@ class TensorElement:
         return NotImplemented
 
     def __mul__(self, other):
-        """Componentwise algebra product on same-order tensors."""
+        """Componentwise algebra product on same-order tensors: mul on each
+        pair of legs, (s1, t1, ..., sk, tk) -> (s1 t1, ..., sk tk)."""
         if isinstance(other, (int, MultiPoly)):
             return self.scale(other)
         other = self._check(other)
         A = self.algebra
-        n, mul = A.rank, A.mul_map.cols
-        # The column of e_s (x) e_t is the Kronecker product of the mul
-        # columns of its legs; only the pairs present are built.
-        columns, vector = {}, []
-        for s, cs in self.coeffs.items():
-            for t, ct in other.coeffs.items():
-                legs = (mul.get(a * n + b, {}) for a, b in zip(s, t))
-                columns[s, t] = reduce(lambda x, y: _kron(x, y, n), legs)
-                vector.append(((s, t), cs * ct))
-        return A._tensor(self.order, _push(columns, vector))
+        vector = [
+            (_flat([i for pair in zip(s, t) for i in pair], A.rank), cs * ct)
+            for s, cs in self.coeffs.items() for t, ct in other.coeffs.items()
+        ]
+        return A._tensor(self.order,
+                         _push(_Kron(*[A.mul_map] * self.order), vector))
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
@@ -260,13 +257,51 @@ def _vector(u: AlgebraElement) -> dict:
     return {i: c for i, c in enumerate(u.coeffs) if c._packed}
 
 
-def _first_difference(got: "LinearMap", want: "LinearMap"):
-    """The smallest input index at which two maps' columns differ, or None."""
-    return min(
-        (c for c in got.cols.keys() | want.cols.keys()
-         if got.cols.get(c) != want.cols.get(c)),
-        default=None,
-    )
+class _Kron:
+    """The columns of the Kronecker product f1 (x) ... (x) fk, as a column
+    source for `_push`: column j is the `_kron` of the factors' columns,
+    made when it is read, so the product is never built whole."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors: "LinearMap"):
+        n = factors[0].n
+        # Rightmost factor first: its legs are the least significant.
+        self.factors = [(f.cols, n ** f.in_order, n ** f.out_order)
+                        for f in reversed(factors)]
+
+    def get(self, j: int):
+        col, width = None, 1
+        for cols, width_in, width_out in self.factors:
+            j, k = divmod(j, width_in)
+            part = cols.get(k)
+            if not part:
+                return None
+            col = part if col is None else _kron(part, col, width)
+            width *= width_out
+        return col
+
+
+def _column(stages, c: int) -> dict:
+    """Column c of the composite stages[0] ; stages[1] ; ...: the first
+    stage's column c, pushed through the others with `_push`.  Each stage
+    is a column source: a LinearMap's `cols`, or a `_Kron`."""
+    col = stages[0].get(c) or {}
+    for stage in stages[1:]:
+        col = _push(stage, col.items())
+    return col
+
+
+def _first_unequal_column(lhs, rhs, count: int):
+    """Check a map equation column by column: lhs(c) and rhs(c) are the two
+    sides' sparse columns, compared for c = 0, 1, ..., count - 1 in turn up
+    to the first difference.  Returns (c, lhs(c), rhs(c)) there, or None
+    when every column agrees."""
+    for c in range(count):
+        a, b = lhs(c), rhs(c)
+        if a != b:
+            return c, a, b
+    return None
 
 
 def _flat(idx, n: int) -> int:
@@ -846,22 +881,28 @@ class FrobeniusAlgebra:
         n, gens = self.rank, self.gens
         one = MultiPoly.one(gens)
         dual = LinearMap(gens, n, 1, 1, dict(enumerate(map(_vector, self.dual_basis))))
-        got = (self.identity_map @ dual) >> pairing
-        want = LinearMap(gens, n, 2, 0, {i * n + i: {0: one} for i in range(n)})
-        bad = _first_difference(got, want)
+        stages = (_Kron(self.identity_map, dual), pairing.cols)
+        bad = _first_unequal_column(
+            lambda c: _column(stages, c),
+            lambda c: {} if c % (n + 1) else {0: one},  # c = i*n + j, i == j
+            n * n,
+        )
         if bad is not None:
-            i, j = divmod(bad, n)
+            c, got, _ = bad
+            i, j = divmod(c, n)
             raise DegenerateFormError(
                 f"dual basis check failed at ({i}, {j}): "
-                f"counit(e_{i} * y_{j}) = {got.entry(0, bad)}"
+                f"counit(e_{i} * y_{j}) = {got.get(0, MultiPoly.zero(gens))}"
             )
-        gram = LinearMap(gens, n, 1, 1, {
-            u: {i: self.gram[i][u] for i in range(n)} for u in range(n)
-        })
-        bad = _first_difference(gram >> dual, self.identity_map)
+        gram = {u: {i: row[u] for i, row in enumerate(self.gram) if row[u]}
+                for u in range(n)}
+        stages = (gram, dual.cols)
+        bad = _first_unequal_column(
+            lambda u: _column(stages, u), lambda u: {u: one}, n
+        )
         if bad is not None:
             raise DegenerateFormError(
-                f"neck-cutting resolution failed on basis element {bad}"
+                f"neck-cutting resolution failed on basis element {bad[0]}"
             )
 
 

@@ -1,8 +1,14 @@
 """Exhaustive verification of the algebraic laws on basis tuples.
 
-Every check is deterministic and complete over basis tuples (multilinearity
-makes basis checking sufficient), and failure is data: checks return a
-LawReport carrying a concrete counterexample instead of raising.
+Every law is one equation lhs == rhs between compositions of cached
+structure maps, checked by `frobalg._first_unequal_column` one input column,
+that is one basis tuple, at a time in flat order, up to the first column
+where the sides differ.  Columns of composites are made on demand, and
+Kronecker stages are never built whole.  Every check is deterministic and
+complete over basis tuples (multilinearity makes basis checking
+sufficient), and failure is data: checks return a LawReport carrying a
+concrete counterexample, rendered from the first unequal column, instead of
+raising.
 
 The web skein identities are checked under both cocomul leg conventions.
 Reports for the plain-cocomul convention are marked advisory: they document
@@ -15,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branchops import BranchContext, LinearMap
-from .frobalg import FrobeniusAlgebra, _unflat
+from .coeffring import MultiPoly
+from .frobalg import FrobeniusAlgebra, _Kron, _column, _first_unequal_column, \
+    _flat, _push, _unflat
 
 
 @dataclass
@@ -57,126 +65,110 @@ def _labels(algebra, *indices):
     return [algebra.basis_labels[i] for i in indices]
 
 
-def check_antisymmetry(ctx: BranchContext) -> LawReport:
-    """bracket(e_i, e_j) = -bracket(e_j, e_i) on all basis pairs."""
-    A = ctx.algebra
+def _render(A, col: dict, order: int) -> str:
+    """A sparse column of a map into A^(x)order, printed as the scalar, the
+    element or the tensor it is."""
+    if order == 0:
+        return str(col.get(0, MultiPoly.zero(A.gens)))
+    if order == 1:
+        return A.render_element(A._element(col))
+    return A.render_tensor(A._tensor(order, col))
+
+
+def _compare(A, lhs, rhs, in_order: int, out_order: int, per_input: int = 1):
+    """Check lhs == rhs between maps A^(x)in_order -> A^(x)out_order, given
+    by their columns, with `_first_unequal_column`: the number of columns
+    checked, and the counterexample at the first unequal one or None.  With
+    per_input > 1, that many equations take turns, column c standing for the
+    input tuple c // per_input."""
     n = A.rank
-    cases = 0
-    for i in range(n):
-        for j in range(n):
-            cases += 1
-            lhs = ctx.bracket_basis(i, j)
-            rhs = -ctx.bracket_basis(j, i)
-            if lhs != rhs:
-                return LawReport(
-                    law="antisymmetry", passed=False, checked_cases=cases,
-                    counterexample={
-                        "inputs": _labels(A, i, j),
-                        "lhs": A.render_element(lhs),
-                        "rhs": A.render_element(rhs),
-                    },
-                )
-    return LawReport(law="antisymmetry", passed=True, checked_cases=cases)
+    count = per_input * n ** in_order
+    found = _first_unequal_column(lhs, rhs, count)
+    if found is None:
+        return count, None
+    c, a, b = found
+    return c + 1, {
+        "inputs": _labels(A, *_unflat(c // per_input, n, in_order)),
+        "lhs": _render(A, a, out_order),
+        "rhs": _render(A, b, out_order),
+    }
+
+
+def _map_law(law: str, A, lhs, rhs, in_order: int, out_order: int):
+    """The report of the map equation lhs == rhs, one case per column."""
+    cases, cx = _compare(A, lhs, rhs, in_order, out_order)
+    return LawReport(law=law, passed=cx is None, checked_cases=cases,
+                     counterexample=cx)
+
+
+def check_antisymmetry(ctx: BranchContext) -> LawReport:
+    """bracket == -(swap ; bracket), on all basis pairs."""
+    A = ctx.algebra
+    m, tau = ctx.bracket_map.cols, A.swap_map.cols
+    minus_one = MultiPoly.const(A.gens, -1)
+    return _map_law(
+        "antisymmetry", A, lambda c: m.get(c, {}),
+        lambda c: _push(m, _push(tau, [(c, minus_one)]).items()), 2, 1,
+    )
 
 
 def check_jacobi(ctx: BranchContext) -> LawReport:
-    """The cyclic sum [x,[y,z]] + [z,[x,y]] + [y,[z,x]] vanishes on basis triples."""
+    """The cyclic sum [x,[y,z]] + [z,[x,y]] + [y,[z,x]] vanishes on basis
+    triples: (id (x) bracket) ; bracket, summed over the three cyclic orders
+    of its input legs, is zero."""
     A = ctx.algebra
-    n = A.rank
-    e = [A.basis_element(i) for i in range(n)]
-    cases = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cases += 1
-                total = (
-                    ctx.bracket(e[i], ctx.bracket_basis(j, k))
-                    + ctx.bracket(e[k], ctx.bracket_basis(i, j))
-                    + ctx.bracket(e[j], ctx.bracket_basis(k, i))
-                )
-                if total:
-                    return LawReport(
-                        law="jacobi", passed=False, checked_cases=cases,
-                        counterexample={
-                            "inputs": _labels(A, i, j, k),
-                            "lhs": A.render_element(total),
-                            "rhs": "0",
-                        },
-                    )
-    return LawReport(law="jacobi", passed=True, checked_cases=cases)
+    n, one = A.rank, MultiPoly.one(A.gens)
+    m = ctx.bracket_map
+    inner = _Kron(A.identity_map, m)
+
+    def cyclic_sum(c):
+        i, jk = divmod(c, n * n)
+        j, k = divmod(jk, n)
+        triples = (c, (k * n + i) * n + j, (j * n + k) * n + i)
+        return _push(m.cols, _push(inner, [(t, one) for t in triples]).items())
+
+    return _map_law("jacobi", A, cyclic_sum, lambda c: {}, 3, 1)
 
 
 def check_cocomul_two_sided(ctx: BranchContext) -> LawReport:
     """The co-operation agrees whether the bracket acts on the first or the
-    second neck leg: sum_i [u, y_i] (x) e_i = sum_i y_i (x) [e_i, u]."""
+    second neck leg: cocomul == (delta_one (x) id) ; (id (x) bracket), that
+    is sum_i [u, y_i] (x) e_i = sum_i y_i (x) [e_i, u]."""
     A = ctx.algebra
-    n = A.rank
-    cases = 0
-    for u in range(n):
-        cases += 1
-        eu = A.basis_element(u)
-        lhs = ctx.cocomul(eu)
-        rhs = A.tensor_zero(2)
-        for i in range(n):
-            w = ctx.bracket(A.basis_element(i), eu)
-            rhs = rhs + A.tensor(A.dual_basis[i], w)
-        if lhs != rhs:
-            return LawReport(
-                law="cocomul_two_sided", passed=False, checked_cases=cases,
-                counterexample={
-                    "inputs": _labels(A, u),
-                    "lhs": A.render_tensor(lhs),
-                    "rhs": A.render_tensor(rhs),
-                },
-            )
-    return LawReport(law="cocomul_two_sided", passed=True, checked_cases=cases)
+    cocomul = ctx.cocomul_map.cols
+    stages = (_Kron(A.delta_one_map, A.identity_map),
+              _Kron(A.identity_map, ctx.bracket_map))
+    return _map_law(
+        "cocomul_two_sided", A, lambda c: cocomul.get(c, {}),
+        lambda c: _column(stages, c), 1, 2,
+    )
 
 
 def check_theta_trace(ctx: BranchContext) -> LawReport:
-    """theta(e_k, e_i, e_j) = counit(e_k * bracket(e_i, e_j)) on all triples."""
+    """theta(e_k, e_i, e_j) = counit(e_k * bracket(e_i, e_j)) on all
+    triples: theta as a 3 -> 0 map equals (id (x) bracket) ; mul ; counit."""
     A = ctx.algebra
     n = A.rank
-    cases = 0
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                cases += 1
-                lhs = ctx.theta.value(k, i, j)
-                rhs = A.counit(A.mul(A.basis_element(k), ctx.bracket_basis(i, j)))
-                if lhs != rhs:
-                    return LawReport(
-                        law="theta_trace", passed=False, checked_cases=cases,
-                        counterexample={
-                            "inputs": _labels(A, k, i, j),
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        },
-                    )
-    return LawReport(law="theta_trace", passed=True, checked_cases=cases)
+    theta = {_flat(t, n): {0: v} for t, v in ctx.theta.entries.items()}
+    stages = (_Kron(A.identity_map, ctx.bracket_map),
+              (A.mul_map >> A.counit_map).cols)
+    return _map_law(
+        "theta_trace", A, lambda c: theta.get(c, {}),
+        lambda c: _column(stages, c), 3, 0,
+    )
 
 
 def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
-    """Neck cutting: u = sum_i y_i * counit(e_i * u) on every basis element."""
+    """Neck cutting: u = sum_i y_i * counit(e_i * u) on every basis element,
+    that is (delta_one (x) id) ; (id (x) (mul ; counit)) == id."""
     A = algebra
-    n = A.rank
-    cases = 0
-    for u in range(n):
-        cases += 1
-        eu = A.basis_element(u)
-        acc = A.zero
-        for i in range(n):
-            weight = A.counit(A.mul(A.basis_element(i), eu))
-            acc = acc + A.dual_basis[i].scale(weight)
-        if acc != eu:
-            return LawReport(
-                law="delta_one_resolution", passed=False, checked_cases=cases,
-                counterexample={
-                    "inputs": _labels(A, u),
-                    "lhs": A.render_element(acc),
-                    "rhs": A.render_element(eu),
-                },
-            )
-    return LawReport(law="delta_one_resolution", passed=True, checked_cases=cases)
+    one = MultiPoly.one(A.gens)
+    stages = (_Kron(A.delta_one_map, A.identity_map),
+              _Kron(A.identity_map, A.mul_map >> A.counit_map))
+    return _map_law(
+        "delta_one_resolution", A, lambda c: _column(stages, c),
+        lambda c: {c: one}, 1, 1,
+    )
 
 
 def _matrix_counterexample(ctx, lhs: LinearMap, rhs: LinearMap):
@@ -256,39 +248,20 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
             advisory=advisory,
         ))
 
-    # Pointwise kernel identity, with legs from the plain cocomul convention.
-    cases = 0
-    cx = None
-    minus_form_everywhere = True
-    for i in range(n):
-        ei = A.basis_element(i)
-        for j in range(n):
-            cases += 1
-            ej = A.basis_element(j)
-            lhs = A.tensor_zero(2)
-            for (l1, l2), c in ctx.cocomul(ej).coeffs.items():
-                w = ctx.bracket(ei, A.basis_element(l1)).scale(c)
-                lhs = lhs + A.tensor(w, A.basis_element(l2))
-            weight = A.counit(A.mul(ei, ej))
-            plus = A.tensor(ej, ei) + A.delta_one.scale(weight)
-            minus = A.tensor(ej, ei) - A.delta_one.scale(weight)
-            if lhs != minus:
-                minus_form_everywhere = False
-            if lhs != plus and cx is None:
-                cx = {
-                    "inputs": _labels(A, i, j),
-                    "lhs": A.render_tensor(lhs),
-                    "rhs": A.render_tensor(plus),
-                }
+    # Pointwise kernel identity, F == swap + E with F from the plain cocomul
+    # convention; every pair is a case, and the first unequal one is shown.
+    plus = tau + E
+    _, cx = _compare(A, lambda c: F.cols.get(c, {}),
+                     lambda c: plus.cols.get(c, {}), 2, 2)
     note = None
-    if cx is not None and minus_form_everywhere:
+    if cx is not None and F == tau - E:
         note = (
             "holds with the opposite counit sign: "
             "lhs = e_j⊗e_i - counit(e_i*e_j)*delta_one"
         )
     reports.append(LawReport(
         law="skein_pointwise_kernel", variant="cocomul", passed=cx is None,
-        checked_cases=cases, counterexample=cx, note=note, advisory=True,
+        checked_cases=n * n, counterexample=cx, note=note, advisory=True,
     ))
     return reports
 

@@ -56,6 +56,16 @@ class TestLaws:
         assert "[FAIL] antisymmetry" in out
         assert "counterexample" in out
 
+    @pytest.mark.parametrize("command", ["laws", "report"])
+    @pytest.mark.parametrize("suite", ["", ",", " , "])
+    def test_empty_suite_is_malformed(self, capsys, command, suite):
+        # No selected law must not read as "every selected law passed".
+        code, out, err = run(capsys, command, "--algebra", "mv",
+                             "--theta", "mv", "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --suite") and err.count("\n") == 1
+        assert "selects no law" in err
+
     def test_json_format(self, capsys):
         code, out, err = run(capsys, "laws", "--algebra", "mv",
                              "--theta", "mv", "--suite", "jacobi",

@@ -8,6 +8,9 @@ from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import (
     DegenerateFormError,
     FrobeniusAlgebra,
+    _column,
+    _first_unequal_column,
+    _Kron,
     _push,
     algebra_from_modulus,
     mv_algebra,
@@ -533,6 +536,58 @@ class TestPush:
             mv.identity_map >> cubic.identity_map
         with pytest.raises(ValueError, match="generator mismatch"):
             mv.identity_map.apply(cubic.tensor(cubic.unit))
+
+
+class TestColumnsOnDemand:
+    """`_Kron` and `_column` read composites one column at a time; each
+    column must be the one the whole-map `@` and `>>` build."""
+
+    def maps(self, mv):
+        return [mv.identity_map, mv.mul_map, mv.comul_map, mv.counit_map,
+                mv.delta_one_map, mv.swap_map]
+
+    def test_kron_columns_match_the_whole_product(self, mv):
+        maps = self.maps(mv)
+        for f in maps:
+            for g in maps:
+                for factors in ((f, g), (f, g, f)):
+                    whole = factors[0]
+                    for h in factors[1:]:
+                        whole = whole @ h
+                    lazy = _Kron(*factors)
+                    for j in range(3 ** whole.in_order):
+                        assert (lazy.get(j) or {}) == whole.cols.get(j, {})
+
+    def test_column_matches_the_whole_composite(self, mv):
+        stages = (mv.identity_map @ mv.comul_map,
+                  mv.mul_map @ mv.identity_map, mv.mul_map, mv.counit_map)
+        whole = stages[0]
+        for f in stages[1:]:
+            whole = whole >> f
+        sources = (_Kron(mv.identity_map, mv.comul_map),
+                   _Kron(mv.mul_map, mv.identity_map),
+                   mv.mul_map.cols, mv.counit_map.cols)
+        for c in range(9):
+            assert _column(sources, c) == whole.cols.get(c, {})
+
+    def test_first_unequal_column(self):
+        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
+        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[c],
+                                     4) is None
+        assert _first_unequal_column(lambda c: cols[c], lambda c: {}, 4) == \
+            (0, {0: 1}, {})
+        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[2],
+                                     4) == (0, {0: 1}, {1: 2})
+        assert _first_unequal_column(lambda c: cols[c],
+                                     lambda c: cols[c - c // 3], 4) == \
+            (3, {1: 3}, {1: 2})
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_tensor_product_is_legwise(self, mv, order):
+        u = [mv.parse_element(s) for s in ("a*X + 1", "X^2 - b", "c*X - X^2")]
+        v = [mv.parse_element(s) for s in ("X - 2", "b*X^2 + a", "X + c")]
+        got = mv.tensor(*u[:order]) * mv.tensor(*v[:order])
+        assert got == mv.tensor(*(x * y for x, y in zip(u, v[:order])))
 
 
 AB = ("a", "b")
