@@ -24,7 +24,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
-    TensorElement, _push, _vector
+    TensorElement, _Kron, _column, _push, _vector
 from .thetafoam import ThetaTable
 
 
@@ -61,10 +61,13 @@ class BranchContext:
     @cached_property
     def cocomul_map(self) -> LinearMap:
         """u -> sum_i bracket(u, y_i) (x) e_i: delta_one beside the input,
-        then the bracket on the two left legs."""
+        then the bracket on the two left legs, read one column at a time
+        (bracket (x) id has n^3 columns)."""
         A = self.algebra
-        return (A.identity_map @ A.delta_one_map) >> \
-            (self.bracket_map @ A.identity_map)
+        stages = ((A.identity_map @ A.delta_one_map).cols,
+                  _Kron(self.bracket_map, A.identity_map))
+        return LinearMap(A.gens, A.rank, 1, 2,
+                         {u: _column(stages, u) for u in range(A.rank)})
 
     @cached_property
     def cocomul_skein_map(self) -> LinearMap:

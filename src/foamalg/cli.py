@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .branchops import BranchContext
-from .coeffring import parse_poly
+from .coeffring import _tokenize, parse_poly
 from .foamlang import ArityError, ParseError, eval_closed, parse, typecheck, \
     compile_diagram
 from .frobalg import FrobeniusAlgebra, algebra_from_modulus, mv_algebra, \
@@ -60,6 +60,22 @@ def _config_list(config: dict, key: str, kinds, what: str, spec: str) -> list:
     return value
 
 
+def _check_generator_names(gens, spec: str) -> None:
+    """Each config generator must be distinct and read back as exactly one
+    name of the polynomial syntax, or no expression could refer to it."""
+    for name in gens:
+        try:
+            tokens = _tokenize(name)
+        except ValueError:
+            tokens = ()
+        if [t[:2] for t in tokens] != [("NAME", name), ("EOF", "")]:
+            raise SpecError(
+                f"config {spec!r}: generator {name!r} is not a name (a letter "
+                f"or '_', then letters, digits or '_')")
+    if len(set(gens)) != len(gens):
+        raise SpecError(f"config {spec!r}: generator names repeat: {list(gens)}")
+
+
 def build_algebra(spec: str):
     """Algebra from a builtin name (mv, aN:<n>, group:<o1,o2,...>) or a JSON
     config file with generators/modulus/counit fields."""
@@ -91,6 +107,7 @@ def build_algebra(spec: str):
         if key not in config:
             raise SpecError(f"config {spec!r} is missing the {key!r} field")
     gens = tuple(_config_list(config, "generators", str, "names", spec))
+    _check_generator_names(gens, spec)
     modulus, counit = (
         _config_list(config, key, (int, str),
                      "integers or polynomial strings", spec)
@@ -245,8 +262,12 @@ def cmd_report(args) -> int:
     }
     text = json.dumps(document, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise SpecError(
+                f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
     else:
         print(text)
     return 0 if suite_passed(reports) else 1

@@ -20,7 +20,7 @@ group generator names).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Optional
 
 from .branchops import BranchContext, LinearMap
@@ -266,27 +266,37 @@ def pretty(e: DiagramExpr) -> str:
 
 def typecheck(e: DiagramExpr) -> tuple[int, int]:
     """Return (in_arity, out_arity); raise ArityError if composition breaks."""
+    return _typecheck(e, lambda node, ins, outs: None)
+
+
+def _typecheck(e: DiagramExpr, visit) -> tuple[int, int]:
+    """`typecheck`, calling visit(node, ins, outs) with the arity of every
+    sub-expression and of every prefix of a composition."""
     if isinstance(e, Generator):
-        return GENERATOR_ARITIES[e.name]
-    if isinstance(e, Tensor):
+        arity = GENERATOR_ARITIES[e.name]
+    elif isinstance(e, Tensor):
         ins, outs = 0, 0
         for p in e.parts:
-            i, o = typecheck(p)
+            i, o = _typecheck(p, visit)
             ins += i
             outs += o
-        return ins, outs
-    if isinstance(e, Compose):
-        first_in, prev_out = typecheck(e.parts[0])
+        arity = ins, outs
+    elif isinstance(e, Compose):
+        first_in, prev_out = _typecheck(e.parts[0], visit)
         for p in e.parts[1:]:
-            i, o = typecheck(p)
+            i, o = _typecheck(p, visit)
             if i != prev_out:
                 raise ArityError(
                     f"arity mismatch in composition: previous output {prev_out} "
                     f"does not match input {i}", p.pos,
                 )
             prev_out = o
-        return first_in, prev_out
-    raise TypeError(f"not a diagram expression: {e!r}")
+            visit(e, first_in, prev_out)
+        arity = first_in, prev_out
+    else:
+        raise TypeError(f"not a diagram expression: {e!r}")
+    visit(e, *arity)
+    return arity
 
 
 _GENERATOR_MAPS = {
@@ -323,13 +333,36 @@ def _check_label_degrees(e: DiagramExpr) -> None:
                         f"{MAX_EXPONENT} for one name in one diagram")
 
 
+MAX_MATRIX_CELLS = 2 ** 20
+"""Largest matrix, in dense cells, that `compile_diagram` builds.  A map
+with i inputs and o outputs at rank n has n^(i+o) cells, and every
+sub-expression and every prefix of a composition is built as one map, so
+each must stay within this bound: on `mv` (rank 3), six legs at a cut
+(3^12 cells) are accepted and seven (3^14) are not.  The check runs before
+anything is built, so an oversized diagram fails at once instead of
+exhausting memory; the text and JSON output of `eval` print every cell."""
+
+
+def _check_matrix_cells(n: int, node, ins: int, outs: int) -> None:
+    cells = n ** (ins + outs)
+    if cells > MAX_MATRIX_CELLS:
+        at = f" at line {node.pos[0]}, column {node.pos[1]}" if node.pos \
+            else ""
+        raise ValueError(
+            f"diagram too large: the map{at} has {ins} inputs and {outs} "
+            f"outputs, {n}^{ins + outs} = {cells} matrix cells at rank {n}, "
+            f"more than the maximum {MAX_MATRIX_CELLS}")
+
+
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
     """Compile a well-typed expression to its exact matrix.
 
     Generators become their matrices, tensoring becomes the Kronecker
     product, and composition becomes matrix product in bottom-to-top order.
+    Raises ValueError, before building anything, when a sub-expression or a
+    composition prefix would exceed MAX_MATRIX_CELLS.
     """
-    typecheck(e)
+    _typecheck(e, partial(_check_matrix_cells, ctx.algebra.rank))
     _check_label_degrees(e)
 
     def build(node) -> LinearMap:

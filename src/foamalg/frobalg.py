@@ -292,12 +292,13 @@ def _column(stages, c: int) -> dict:
     return col
 
 
-def _first_unequal_column(lhs, rhs, count: int):
+def _first_unequal_column(lhs, rhs, columns):
     """Check a map equation column by column: lhs(c) and rhs(c) are the two
-    sides' sparse columns, compared for c = 0, 1, ..., count - 1 in turn up
-    to the first difference.  Returns (c, lhs(c), rhs(c)) there, or None
-    when every column agrees."""
-    for c in range(count):
+    sides' sparse columns, compared for each c of `columns`, an increasing
+    iterable of column indices, in turn up to the first difference.  A
+    caller may leave out a column only where both sides are zero.  Returns
+    (c, lhs(c), rhs(c)) there, or None when every column agrees."""
+    for c in columns:
         a, b = lhs(c), rhs(c)
         if a != b:
             return c, a, b
@@ -389,6 +390,15 @@ class LinearMap:
             self.out_order + other.out_order,
             cols,
         )
+
+    def transpose(self) -> "LinearMap":
+        """The transposed matrix, A^(x)out_order -> A^(x)in_order, in one
+        pass over the stored entries."""
+        cols: dict = {}
+        for c, col in self.cols.items():
+            for r, v in col.items():
+                cols.setdefault(r, {})[c] = v
+        return LinearMap(self.gens, self.n, self.out_order, self.in_order, cols)
 
     # -- linear structure ------------------------------------------------------
 
@@ -885,7 +895,7 @@ class FrobeniusAlgebra:
         bad = _first_unequal_column(
             lambda c: _column(stages, c),
             lambda c: {} if c % (n + 1) else {0: one},  # c = i*n + j, i == j
-            n * n,
+            range(n * n),
         )
         if bad is not None:
             c, got, _ = bad
@@ -898,7 +908,7 @@ class FrobeniusAlgebra:
                 for u in range(n)}
         stages = (gram, dual.cols)
         bad = _first_unequal_column(
-            lambda u: _column(stages, u), lambda u: {u: one}, n
+            lambda u: _column(stages, u), lambda u: {u: one}, range(n)
         )
         if bad is not None:
             raise DegenerateFormError(

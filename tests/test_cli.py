@@ -7,6 +7,8 @@ import pytest
 from foamalg import __version__, cli
 from foamalg.cli import MAX_TRUNCATED_RANK, main
 from foamalg.coeffring import MAX_EXPONENT
+from foamalg.foamlang import MAX_MATRIX_CELLS
+from foamalg.frobalg import LinearMap
 
 
 def run(capsys, *argv):
@@ -209,6 +211,61 @@ class TestEval:
         assert run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                    "--expr", f"label(X^{2 * half})") == (0, out, "")
 
+    @staticmethod
+    def count_maps_after_context(monkeypatch):
+        """Record every LinearMap built once the context exists, that is
+        every map that compilation builds."""
+        built = []
+        build_context = cli.build_context
+        init = LinearMap.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def build_then_count(args):
+            ctx = build_context(args)
+            monkeypatch.setattr(LinearMap, "__init__", counting_init)
+            return ctx
+
+        monkeypatch.setattr(cli, "build_context", build_then_count)
+        return built
+
+    # Ten legs on mv would be a 3^20-cell matrix, and seven already print
+    # 52 MB; a wide middle cut is as large though the diagram is closed, and
+    # a composition prefix is one map as well, though each part is small.
+    @pytest.mark.parametrize("expr, shape", [
+        ("*".join(["id"] * 10), "10 inputs and 10 outputs, 3^20"),
+        ("*".join(["id"] * 7), "7 inputs and 7 outputs, 3^14"),
+        ("(" + "*".join(["unit"] * 13) + ") ; ("
+         + "*".join(["counit"] * 13) + ")", "0 inputs and 13 outputs, 3^13"),
+        ("(" + "*".join(["counit"] * 7) + ") ; (" + "*".join(["unit"] * 7)
+         + ") ; (" + "*".join(["counit"] * 7) + ")",
+         "7 inputs and 7 outputs, 3^14"),
+    ])
+    def test_oversized_diagram_builds_nothing(self, capsys, monkeypatch, expr,
+                                              shape):
+        built = self.count_maps_after_context(monkeypatch)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta",
+                             "mv", "--expr", expr)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, built) == (2, "", [])
+        assert err.startswith("error: diagram too large") \
+            and err.count("\n") == 1
+        assert shape in err and str(MAX_MATRIX_CELLS) in err
+
+    def test_matrix_cells_at_the_bound(self, capsys, monkeypatch):
+        # Rank 2: twenty legs at the middle cut make exactly 2^20 cells.
+        legs = MAX_MATRIX_CELLS.bit_length() - 1
+        for k, expected in ((legs, 0), (legs + 1, 2)):
+            expr = "(" + "*".join(["unit"] * k) + ") ; (" + \
+                "*".join(["counit"] * k) + ")"
+            code, out, err = run(capsys, "eval", "--algebra", "group:2",
+                                 "--theta", "zero", "--expr", expr)
+            assert code == expected
+        assert out == "" and err.startswith("error: diagram too large")
+
     def test_json_closed(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                              "--expr",
@@ -258,6 +315,15 @@ class TestReport:
         assert code == 0
         doc = json.loads(path.read_text())
         assert doc["results"][0]["law"] == "jacobi"
+
+    def test_unwritable_out_file_is_malformed(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, "report", "--algebra", "mv",
+                             "--theta", "mv", "--suite", "jacobi",
+                             "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {str(path)!r}: ")
+        assert err.count("\n") == 1
 
     # SHA-256 of the report bytes, recorded before the structure maps became
     # sparse column stores; any change to a verdict, count or rendering shows.
@@ -334,6 +400,35 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("generators, message", [
+        (["a", "a"], "generator names repeat"),
+        (["a", "b", "a"], "generator names repeat"),
+        ([""], "generator '' is not a name"),
+        (["1a"], "generator '1a' is not a name"),
+        (["a b"], "generator 'a b' is not a name"),
+        ([" a"], "generator ' a' is not a name"),
+        (["a.b"], "generator 'a.b' is not a name"),
+    ])
+    def test_generator_names(self, capsys, tmp_path, generators, message):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "generators": generators, "modulus": ["0", "0", "1"],
+            "counit": ["0", "1"]}))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "zero")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_generator_names_that_parse(self, capsys, tmp_path):
+        config = tmp_path / "ok.json"
+        config.write_text(json.dumps({
+            "generators": ["a_1", "_b", "c2"], "modulus": ["-a_1", "_b*c2", "1"],
+            "counit": ["0", "1"]}))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "zero", "--suite", "antisym")
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
     def test_config_must_be_an_object(self, capsys, tmp_path, text):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from foamalg.branchops import BranchContext, LinearMap
 from foamalg.foamlang import (
+    MAX_MATRIX_CELLS,
     ArityError,
     Compose,
     Generator,
@@ -226,6 +227,15 @@ class TestCompile:
     def test_compile_checks_arity(self, mv_ctx):
         with pytest.raises(ArityError):
             compile_diagram(parse("comul ; comul"), mv_ctx)
+
+    def test_matrix_cell_bound_on_a_built_tree(self, mv_ctx):
+        # A tree built without positions: six legs (3^12 cells) compile,
+        # seven (3^14) raise before any map is built.
+        six = Tensor([Generator("id")] * 6)
+        assert compile_diagram(six, mv_ctx).in_order == 6
+        assert 3 ** 12 <= MAX_MATRIX_CELLS < 3 ** 14
+        with pytest.raises(ValueError, match=r"the map has 7 inputs"):
+            compile_diagram(Tensor([six, Generator("id")]), mv_ctx)
 
 
 class TestEvalClosed:

@@ -570,17 +570,46 @@ class TestColumnsOnDemand:
         for c in range(9):
             assert _column(sources, c) == whole.cols.get(c, {})
 
+    def test_transpose_reverses_composition_and_keeps_kronecker_order(
+            self, mv):
+        maps = self.maps(mv)
+        for f in maps:
+            t = f.transpose()
+            assert (t.in_order, t.out_order) == (f.out_order, f.in_order)
+            assert t.transpose() == f
+            for r, col in t.cols.items():
+                for c, v in col.items():
+                    assert f.entry(r, c) == v
+            for g in maps:
+                assert (f @ g).transpose() == f.transpose() @ g.transpose()
+                if g.in_order == f.out_order:
+                    assert (f >> g).transpose() == \
+                        g.transpose() >> f.transpose()
+
     def test_first_unequal_column(self):
         cols = [{0: 1}, {}, {1: 2}, {1: 3}]
         assert _first_unequal_column(lambda c: cols[c], lambda c: cols[c],
-                                     4) is None
-        assert _first_unequal_column(lambda c: cols[c], lambda c: {}, 4) == \
-            (0, {0: 1}, {})
+                                     range(4)) is None
+        assert _first_unequal_column(lambda c: cols[c], lambda c: {},
+                                     range(4)) == (0, {0: 1}, {})
         assert _first_unequal_column(lambda c: cols[c], lambda c: cols[2],
-                                     4) == (0, {0: 1}, {1: 2})
+                                     range(4)) == (0, {0: 1}, {1: 2})
         assert _first_unequal_column(lambda c: cols[c],
-                                     lambda c: cols[c - c // 3], 4) == \
+                                     lambda c: cols[c - c // 3], range(4)) == \
             (3, {1: 3}, {1: 2})
+
+    def test_first_unequal_column_walks_only_the_given_columns(self):
+        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
+        walked = []
+
+        def lhs(c):
+            walked.append(c)
+            return cols[c]
+
+        assert _first_unequal_column(lhs, lambda c: {}, (2, 3)) == \
+            (2, {1: 2}, {})
+        assert walked == [2]
+        assert _first_unequal_column(lhs, lambda c: {}, iter(())) is None
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_tensor_product_is_legwise(self, mv, order):

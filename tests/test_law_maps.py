@@ -10,8 +10,8 @@ import pytest
 
 from foamalg.branchops import BranchContext
 from foamalg.coeffring import MultiPoly, parse_poly
-from foamalg.frobalg import LinearMap, algebra_from_modulus, mv_algebra, \
-    truncated_algebra
+from foamalg.frobalg import LinearMap, _unflat, algebra_from_modulus, \
+    mv_algebra, truncated_algebra
 from foamalg.groupfoam import check_bialgebra, derive_bialgebra_theta, \
     group_ring, hopf_delta
 from foamalg.lawsuite import (
@@ -155,6 +155,66 @@ def oracle_kernel(ctx):
                      note=note, advisory=True)
 
 
+def _matrix_counterexample(ctx, lhs: LinearMap, rhs: LinearMap):
+    """First differing entry of two same-shape matrices in row-major order,
+    as printable data."""
+    diff = lhs - rhs
+    if not diff.cols:
+        return None
+    r, c = min((r, c) for c, col in diff.cols.items() for r in col)
+    A = ctx.algebra
+    return {
+        "inputs": _labels(A, *_unflat(c, A.rank, lhs.in_order)),
+        "output_basis": _labels(A, *_unflat(r, A.rank, lhs.out_order)),
+        "lhs": str(lhs.entry(r, c)),
+        "rhs": str(rhs.entry(r, c)),
+    }
+
+
+def oracle_skein(ctx):
+    """Skein identities 1-3 under both conventions, each side built as a
+    whole matrix and compared entry by entry in row-major order."""
+    A = ctx.algebra
+    n = A.rank
+    gens = A.gens
+    reports = []
+    m = ctx.linear_map("bracket")
+    tau = ctx.linear_map("swap")
+    id1 = LinearMap.identity(gens, n, 1)
+    id2 = LinearMap.identity(gens, n, 2)
+    E = (ctx.linear_map("mul") >> ctx.linear_map("counit_map")) >> \
+        ctx.linear_map("delta_one_map")
+    for variant in ("cocomul_skein", "cocomul"):
+        advisory = variant == "cocomul"
+        D = ctx.linear_map(variant)
+        F = (id1 @ D) >> (m @ id1)
+
+        cx = _matrix_counterexample(ctx, F, E - tau)
+        note = None
+        if cx is not None and F == tau - E:
+            note = "holds with both sides negated: F = swap - E"
+        reports.append(LawReport(
+            law="skein_identity_1", variant=variant, passed=cx is None,
+            checked_cases=n * n, counterexample=cx, note=note,
+            advisory=advisory))
+
+        cx = _matrix_counterexample(ctx, F >> F, id2 + E)
+        reports.append(LawReport(
+            law="skein_identity_2", variant=variant, passed=cx is None,
+            checked_cases=n * n, counterexample=cx, advisory=advisory))
+
+        lhs = D >> m
+        cx = _matrix_counterexample(ctx, lhs, 2 * id1)
+        note = None
+        if cx is not None and lhs == (-2) * id1:
+            note = "matrix equals -2 * identity"
+        reports.append(LawReport(
+            law="skein_identity_3", variant=variant, passed=cx is None,
+            checked_cases=n, counterexample=cx, note=note,
+            advisory=advisory))
+    return reports
+
+
 def oracle_bialgebra(A, ctx):
     n = A.rank
     cases = 0
@@ -245,8 +305,26 @@ def perturbed(make, entry):
     return fresh
 
 
+def restricted(make, keep):
+    """The context with only the bracket columns c for which keep(c) holds,
+    so the theta entries of the other pairs sit outside the bracket's
+    support.  On mv, deleting (X, X^2) makes theta_trace fail at
+    (1, X, X^2), a column that only the theta support reaches.  On aN:5,
+    keeping (1, X^3) and (X^3, X^2) makes Jacobi fail first at
+    (1, X^3, X^3), where of the three pairs only (1, X^3) has a column."""
+    m = make().bracket_map
+    fresh = make()
+    fresh.__dict__["bracket_map"] = LinearMap(
+        m.gens, m.n, 2, 1, {c: v for c, v in m.cols.items() if keep(c)})
+    return fresh
+
+
 ALL_CONTEXTS = {
     **CONTEXTS,
+    "mv/mv, bracket (X, X^2) removed": lambda: restricted(
+        CONTEXTS["mv/mv"], lambda c: c != 1 * 3 + 2),
+    "aN:5/lie, bracket (1, X^3) and (X^3, X^2) only": lambda: restricted(
+        CONTEXTS["aN:5/lie"], lambda c: c in (0 * 5 + 3, 3 * 5 + 2)),
     "mv/mv, bracket (X, X^2) + X": lambda: perturbed(CONTEXTS["mv/mv"],
                                                      (1 * 3 + 2, 1)),
     "aN:5/lie, bracket (1, 1) + 1": lambda: perturbed(CONTEXTS["aN:5/lie"],
@@ -288,6 +366,11 @@ def test_delta_one(ctx):
 def test_pointwise_kernel(ctx):
     kernel = check_skein_identities(ctx)[-1]
     assert kernel.to_dict() == oracle_kernel(ctx).to_dict()
+
+
+def test_skein_identities(ctx):
+    got = [r.to_dict() for r in check_skein_identities(ctx)[:-1]]
+    assert got == [r.to_dict() for r in oracle_skein(ctx)]
 
 
 def product_perturbed():
@@ -349,6 +432,27 @@ def test_early_exit_builds_no_whole_map(monkeypatch, check):
     assert widths and max(widths) <= n * n
 
 
+def test_skein_builds_no_whole_map(monkeypatch):
+    """On group:2^6 the skein identities read every composite, Kronecker
+    product and transpose one column at a time: no map wider than n^2
+    columns is built (F (x) id would have n^3 = 262144)."""
+    A = group_ring([2] * 6)
+    ctx = BranchContext(A, derive_bialgebra_theta(A))
+    n = A.rank
+    widths = []
+    init = LinearMap.__init__
+
+    def recording_init(self, gens, n, in_order, out_order, cols):
+        widths.append(n ** in_order)
+        init(self, gens, n, in_order, out_order, cols)
+
+    monkeypatch.setattr(LinearMap, "__init__", recording_init)
+    reports = check_skein_identities(ctx)
+    assert [r.checked_cases for r in reports] == [n * n, n * n, n] * 2 + \
+        [n * n]
+    assert widths and max(widths) <= n * n
+
+
 def test_every_failing_path_is_reached():
     """Each law fails on at least one context above, so the comparison
     covers counterexample rendering as well as the passing path."""
@@ -357,6 +461,9 @@ def test_every_failing_path_is_reached():
         "jacobi": check_jacobi,
         "cocomul_two_sided": check_cocomul_two_sided,
         "theta_trace": check_theta_trace,
+        "skein_identity_1": lambda c: check_skein_identities(c)[0],
+        "skein_identity_2": lambda c: check_skein_identities(c)[1],
+        "skein_identity_3": lambda c: check_skein_identities(c)[2],
         "skein_pointwise_kernel": lambda c: check_skein_identities(c)[-1],
         "bialgebra": lambda c: check_bialgebra(c.algebra, c),
     }
