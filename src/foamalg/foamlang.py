@@ -20,10 +20,11 @@ group generator names).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from typing import Optional
 
 from .branchops import BranchContext, LinearMap
+from .frobalg import _Kron, _column
 from .coeffring import MAX_EXPONENT, MultiPoly, name_degrees
 
 
@@ -266,37 +267,27 @@ def pretty(e: DiagramExpr) -> str:
 
 def typecheck(e: DiagramExpr) -> tuple[int, int]:
     """Return (in_arity, out_arity); raise ArityError if composition breaks."""
-    return _typecheck(e, lambda node, ins, outs: None)
-
-
-def _typecheck(e: DiagramExpr, visit) -> tuple[int, int]:
-    """`typecheck`, calling visit(node, ins, outs) with the arity of every
-    sub-expression and of every prefix of a composition."""
     if isinstance(e, Generator):
-        arity = GENERATOR_ARITIES[e.name]
-    elif isinstance(e, Tensor):
+        return GENERATOR_ARITIES[e.name]
+    if isinstance(e, Tensor):
         ins, outs = 0, 0
         for p in e.parts:
-            i, o = _typecheck(p, visit)
+            i, o = typecheck(p)
             ins += i
             outs += o
-        arity = ins, outs
-    elif isinstance(e, Compose):
-        first_in, prev_out = _typecheck(e.parts[0], visit)
+        return ins, outs
+    if isinstance(e, Compose):
+        first_in, prev_out = typecheck(e.parts[0])
         for p in e.parts[1:]:
-            i, o = _typecheck(p, visit)
+            i, o = typecheck(p)
             if i != prev_out:
                 raise ArityError(
                     f"arity mismatch in composition: previous output {prev_out} "
                     f"does not match input {i}", p.pos,
                 )
             prev_out = o
-            visit(e, first_in, prev_out)
-        arity = first_in, prev_out
-    else:
-        raise TypeError(f"not a diagram expression: {e!r}")
-    visit(e, *arity)
-    return arity
+        return first_in, prev_out
+    raise TypeError(f"not a diagram expression: {e!r}")
 
 
 _GENERATOR_MAPS = {
@@ -334,50 +325,112 @@ def _check_label_degrees(e: DiagramExpr) -> None:
 
 
 MAX_MATRIX_CELLS = 2 ** 20
-"""Largest matrix, in dense cells, that `compile_diagram` builds.  A map
-with i inputs and o outputs at rank n has n^(i+o) cells, and every
-sub-expression and every prefix of a composition is built as one map, so
-each must stay within this bound: on `mv` (rank 3), six legs at a cut
-(3^12 cells) are accepted and seven (3^14) are not.  The check runs before
-anything is built, so an oversized diagram fails at once instead of
-exhausting memory; the text and JSON output of `eval` print every cell."""
+"""Largest n^(i+w) that `compile_diagram` accepts at rank n, where i is the
+diagram's inputs and w the most legs that one column in flight has
+(`_width`).  The diagram's n^i input columns are pushed through it, and a
+column on k legs has at most n^k entries, so the bound covers the printed
+matrix of an open diagram (`eval` prints all its n^(i+o) cells) and every
+column in flight.  A tensor is never built whole, so `id * bmul`, with n^5
+dense cells, is bounded only by the legs it carries: the closed theta
+diagram has at most three legs in flight and evaluates up to rank 101.  On
+`mv` (rank 3) 3^12 is accepted and 3^13 is not, so six inputs and six
+outputs pass and `id*id*id*id*id*id*id` (seven and seven) is refused.  The
+check runs before any map is built, so an oversized diagram fails at once
+instead of exhausting memory."""
 
 
-def _check_matrix_cells(n: int, node, ins: int, outs: int) -> None:
-    cells = n ** (ins + outs)
-    if cells > MAX_MATRIX_CELLS:
-        at = f" at line {node.pos[0]}, column {node.pos[1]}" if node.pos \
-            else ""
-        raise ValueError(
-            f"diagram too large: the map{at} has {ins} inputs and {outs} "
-            f"outputs, {n}^{ins + outs} = {cells} matrix cells at rank {n}, "
-            f"more than the maximum {MAX_MATRIX_CELLS}")
+def _width(e: DiagramExpr) -> tuple[int, int, int]:
+    """(inputs, outputs, w) of a well-typed expression, where w is the most
+    legs that one column in flight through it has.  A tensor's columns are
+    made from its parts' columns, so inside it only one part's legs are in
+    flight at a time."""
+    if isinstance(e, Generator):
+        ins, outs = GENERATOR_ARITIES[e.name]
+        return ins, outs, max(ins, outs)
+    ins, outs, widths = zip(*map(_width, e.parts))
+    if isinstance(e, Tensor):
+        return sum(ins), sum(outs), max(sum(ins), sum(outs), *widths)
+    return ins[0], outs[-1], max(widths)
+
+
+class _Made:
+    """A column source whose column j is `make(j)`, made when first read
+    and kept, so no column is made twice."""
+
+    __slots__ = ("make", "made")
+
+    def __init__(self, make):
+        self.make = make
+        self.made: dict = {}
+
+    def get(self, j: int):
+        col = self.made.get(j)
+        if col is None:
+            col = self.made[j] = self.make(j) or {}
+        return col
+
+
+def _stage(factors: list):
+    """The columns of the Kronecker product of `factors`: one factor's own,
+    or a `_Made` of the factors' column products."""
+    if len(factors) == 1:
+        return factors[0].cols
+    return _Made(_Kron(*factors).get)
+
+
+class _Chain:
+    """A composition as a `_Kron` factor, from its parts' factor lists: its
+    column j is input column j pushed through the parts' stages in turn,
+    made when first read and kept."""
+
+    __slots__ = ("n", "in_order", "out_order", "cols")
+
+    def __init__(self, parts: list):
+        self.n = parts[0][0].n
+        self.in_order = sum(f.in_order for f in parts[0])
+        self.out_order = sum(f.out_order for f in parts[-1])
+        self.cols = _Made(partial(_column, list(map(_stage, parts))))
 
 
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
     """Compile a well-typed expression to its exact matrix.
 
-    Generators become their matrices, tensoring becomes the Kronecker
-    product, and composition becomes matrix product in bottom-to-top order.
-    Raises ValueError, before building anything, when a sub-expression or a
-    composition prefix would exceed MAX_MATRIX_CELLS.
+    Generators become their matrices; a tensor and a composition become
+    column sources (`_stage`, `_Chain`) whose columns are made from their
+    parts' columns when first read, as Kronecker products or by pushing
+    through the parts in turn, and kept.  The result reads its n^in input
+    columns, so nothing is made that they do not need: a closed diagram
+    makes only what its one column passes through.  Raises ValueError,
+    before building anything, when the diagram exceeds MAX_MATRIX_CELLS.
     """
-    _typecheck(e, partial(_check_matrix_cells, ctx.algebra.rank))
+    return _compile(e, ctx, typecheck(e))
+
+
+def _compile(e: DiagramExpr, ctx: BranchContext,
+             arity: tuple[int, int]) -> LinearMap:
+    """`compile_diagram` for a tree already typechecked to `arity`."""
+    A = ctx.algebra
+    n, ins, legs = A.rank, arity[0], _width(e)[2]
+    cells = n ** (ins + legs)
+    if cells > MAX_MATRIX_CELLS:
+        raise ValueError(
+            f"diagram too large: {ins} inputs and a cut of {legs} legs, "
+            f"{n}^{ins + legs} = {cells} matrix cells at rank {n}, more than "
+            f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
 
-    def build(node) -> LinearMap:
+    def factors(node) -> list:
         if isinstance(node, Generator):
             if node.name == "label":
-                u = ctx.algebra.parse_element(node.payload)
-                return ctx.mul_by_map(u)
-            return ctx.linear_map(_GENERATOR_MAPS[node.name])
+                return [ctx.mul_by_map(A.parse_element(node.payload))]
+            return [ctx.linear_map(_GENERATOR_MAPS[node.name])]
         if isinstance(node, Tensor):
-            return reduce(lambda a, b: a @ b, (build(p) for p in node.parts))
-        if isinstance(node, Compose):
-            return reduce(lambda a, b: a >> b, (build(p) for p in node.parts))
-        raise TypeError(f"not a diagram expression: {node!r}")
+            return [f for p in node.parts for f in factors(p)]
+        return [_Chain([factors(p) for p in node.parts])]
 
-    return build(e)
+    whole = _stage(factors(e))
+    cols = {c: whole.get(c) or {} for c in range(n ** ins)}
+    return LinearMap(A.gens, n, *arity, cols)
 
 
 def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:
@@ -388,4 +441,4 @@ def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:
             f"expression is not closed: arity {arity}",
             getattr(e, "pos", None),
         )
-    return compile_diagram(e, ctx).entry(0, 0)
+    return _compile(e, ctx, arity).entry(0, 0)

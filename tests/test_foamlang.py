@@ -1,4 +1,6 @@
+import operator
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -229,13 +231,23 @@ class TestCompile:
             compile_diagram(parse("comul ; comul"), mv_ctx)
 
     def test_matrix_cell_bound_on_a_built_tree(self, mv_ctx):
-        # A tree built without positions: six legs (3^12 cells) compile,
-        # seven (3^14) raise before any map is built.
+        # A tree built without positions: six inputs and six outputs
+        # (3^12 cells) compile, seven (3^14) raise before any map is built.
         six = Tensor([Generator("id")] * 6)
         assert compile_diagram(six, mv_ctx).in_order == 6
-        assert 3 ** 12 <= MAX_MATRIX_CELLS < 3 ** 14
-        with pytest.raises(ValueError, match=r"the map has 7 inputs"):
+        assert 3 ** 12 <= MAX_MATRIX_CELLS < 3 ** 13
+        with pytest.raises(ValueError, match=r"7 inputs and a cut of 7 legs, 3\^14"):
             compile_diagram(Tensor([six, Generator("id")]), mv_ctx)
+
+
+    def test_bound_counts_only_legs_in_flight(self, mv_ctx):
+        # A part's six legs are in flight only while its own column is made,
+        # so three such parts side by side stay within 3^12 cells.
+        part = ("(" + " * ".join(["unit"] * 6) + ") ; (mul * mul * mul) ; "
+                "(mul * id) ; mul ; comul ; mul ; counit")
+        e = parse(" * ".join([f"({part})"] * 3))
+        assert eval_closed(e, mv_ctx) == whole_map(e, mv_ctx).entry(0, 0)
+        assert str(eval_closed(e, mv_ctx)) == "27"
 
 
 class TestEvalClosed:
@@ -316,6 +328,37 @@ def random_expr(rng, in_arity, depth):
         return first
     second = random_expr(rng, mid, depth - 1)
     return Compose([first, second])
+
+
+def whole_map(e, ctx):
+    """The matrix of `e` built whole: each tensor as the Kronecker product
+    and each composition as the matrix product of its parts' matrices."""
+    if isinstance(e, Generator):
+        return compile_diagram(e, ctx)
+    maps = [whole_map(p, ctx) for p in e.parts]
+    return reduce(operator.matmul if isinstance(e, Tensor)
+                  else operator.rshift, maps)
+
+
+class TestChains:
+    def test_chains_match_whole_maps(self, small_ctx, mv_ctx):
+        # Random trees put compositions of unequal depth side by side.
+        rng = random.Random(20261018)
+        for ctx, count in ((small_ctx, 150), (mv_ctx, 40)):
+            for _ in range(count):
+                e = random_expr(rng, rng.randint(0, 3), 3)
+                assert compile_diagram(e, ctx) == whole_map(e, ctx), pretty(e)
+
+    def test_compositions_inside_tensors(self, mv_ctx):
+        for src in [
+            "(unit ; counit) * id",
+            "id * (unit ; label(X) ; counit) * swap",
+            "(comul ; (id * comul) ; (mul * id) ; mul) * (swap ; bmul)",
+            "((unit ; comul) * (unit ; bcomul ; swap ; mul)) ; (bmul * id)",
+            "(bcomul_skein ; bmul) * (bcomul_skein ; (label(X) * id) ; bmul)",
+        ]:
+            e = parse(src)
+            assert compile_diagram(e, mv_ctx) == whole_map(e, mv_ctx), src
 
 
 class TestInterchange:
