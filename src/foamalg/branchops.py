@@ -54,7 +54,7 @@ class BranchContext:
         weights: dict[int, list] = {}
         for (k, i, j), t in self.theta.entries.items():
             weights.setdefault(i * n + j, []).append((k, t))
-        duals = dict(enumerate(map(_vector, A.dual_basis)))
+        duals = A.dual_map.cols
         return LinearMap(A.gens, n, 2, 1,
                          {ij: _push(duals, w) for ij, w in weights.items()})
 
@@ -75,18 +75,10 @@ class BranchContext:
 
     # -- operations ------------------------------------------------------------
 
-    @cached_property
-    def _bracket_table(self):
-        """bracket(e_i, e_j) as elements, read off the bracket map's columns."""
-        A = self.algebra
-        n, cols = A.rank, self.bracket_map.cols
-        return tuple(
-            tuple(A._element(cols.get(i * n + j, {})) for j in range(n))
-            for i in range(n)
-        )
-
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
-        return self._bracket_table[i][j]
+        """bracket(e_i, e_j), read off the bracket map's column (i, j)."""
+        A = self.algebra
+        return A._element(self.bracket_map.cols.get(i * A.rank + j, {}))
 
     def bracket(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Bilinear extension of the basis bracket table."""

@@ -199,7 +199,9 @@ def _report_lines(report) -> str:
 
 
 def _run_selected(args):
-    """Build the context and run the comma-separated `--suite` selection."""
+    """Build the context and run the comma-separated `--suite` selection.
+    An unknown name is refused before the context is built, and bialgebra
+    on an algebra that is not a group ring before any law runs."""
     names = None if args.suite in (None, "all") else [
         s.strip() for s in args.suite.split(",") if s.strip()
     ]
@@ -209,7 +211,15 @@ def _run_selected(args):
             f"--suite {args.suite!r} selects no law; available: "
             f"{', '.join(SUITE_NAMES)}, all"
         )
-    return run_suite(build_context(args), names)
+    unknown = [s for s in names or () if s not in SUITE_NAMES + ("all",)]
+    if unknown:
+        raise SpecError(f"unknown suite {unknown[0]!r}; available: "
+                        f"{', '.join(SUITE_NAMES)}")
+    ctx = build_context(args)
+    if "bialgebra" in (names or ()) and "all" not in names and \
+            not isinstance(ctx.algebra, GroupRingAlgebra):
+        raise SpecError("the bialgebra suite needs a group ring algebra")
+    return run_suite(ctx, names)
 
 
 def cmd_laws(args) -> int:

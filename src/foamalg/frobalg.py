@@ -1,10 +1,10 @@
 """Finite-rank commutative Frobenius algebras over Z[g1, ..., gk].
 
 An algebra is presented by a multiplication table on a chosen basis together
-with the counit (Frobenius form) on basis elements.  Construction eagerly
-derives the Gram matrix, its inverse, the dual basis and the neck-cutting
-tensor delta_one, and validates the algebra axioms exactly: associativity by
-Light's test over a generating set, the rest on all basis tuples.
+with the counit (Frobenius form) on basis elements.  Construction derives
+the pairing, its Gram matrix and inverse, and the dual basis, each stored as
+a map, and validates the algebra axioms exactly: associativity by Light's
+test over a generating set, the rest on all basis tuples.
 
 Every structure map (mul, comul, counit, unit, swap, identity, delta_one,
 and the branch maps built in `branchops`) is one `LinearMap`: a sparse
@@ -132,6 +132,10 @@ class TensorElement:
                 raise ValueError(f"basis index out of range in {idx}")
             if isinstance(c, int):
                 c = MultiPoly.const(algebra.gens, c)
+            elif c.gens != algebra.gens:
+                raise ValueError(
+                    f"generator mismatch: {c.gens} vs {algebra.gens}"
+                )
             s = canon.get(idx)
             s = c if s is None else s + c
             if s:
@@ -438,8 +442,8 @@ class LinearMap:
         if not isinstance(other, LinearMap):
             return NotImplemented
         return (
-            (self.n, self.in_order, self.out_order) ==
-            (other.n, other.in_order, other.out_order)
+            (self.gens, self.n, self.in_order, self.out_order) ==
+            (other.gens, other.n, other.in_order, other.out_order)
             and self.cols == other.cols
         )
 
@@ -540,8 +544,9 @@ def unimodular_inverse(mat, gens):
 class FrobeniusAlgebra:
     """A commutative Frobenius algebra presented by a multiplication table.
 
-    Immutable after construction; all derived data (Gram matrix, dual basis,
-    delta_one) is computed eagerly, so instances are safe to share.
+    Immutable after construction.  The Frobenius data is stored once, as the
+    maps `mul_map`, `counit_map`, `pairing_map`, `dual_map` (column j is y_j)
+    and `delta_one_map`; `mul_basis`, `dual_basis` and `delta_one` are views.
     """
 
     def __init__(self, gens, basis_labels, mult_rows, counit_vec,
@@ -553,26 +558,12 @@ class FrobeniusAlgebra:
         if n < 1:
             raise ValueError("algebra rank must be at least 1")
 
-        counit_vec = tuple(
-            c if isinstance(c, MultiPoly) else MultiPoly.const(self.gens, c)
-            for c in counit_vec
-        )
-        if len(counit_vec) != n:
-            raise ValueError(f"counit vector must have length {n}")
-        for c in counit_vec:
-            if c.gens != self.gens:
-                raise ValueError(
-                    f"generator mismatch in counit: {c.gens} vs {self.gens}"
-                )
-        self.counit_vec = counit_vec
-
-        table = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                row.append(AlgebraElement(self, mult_rows[i][j]))
-            table.append(tuple(row))
-        self.mult_table = tuple(table)
+        # The element constructor checks the rank and ring of every vector.
+        self.counit_vec = AlgebraElement(self, counit_vec).coeffs
+        self.mul_map = LinearMap(self.gens, n, 2, 1, {
+            i * n + j: _vector(AlgebraElement(self, mult_rows[i][j]))
+            for i in range(n) for j in range(n)
+        })
 
         self._symbols = {
             name: AlgebraElement(self, coeffs)
@@ -587,26 +578,21 @@ class FrobeniusAlgebra:
         if validate:
             self._validate_algebra()
 
-        pairing = self.mul_map >> self.counit_map
+        pairing = self.pairing_map
         self.gram = tuple(
             tuple(pairing.entry(0, i * n + j) for j in range(n)) for i in range(n)
         )
-        self.gram_det, dual_coords = unimodular_inverse(
+        self.gram_det, inverse = unimodular_inverse(
             [list(row) for row in self.gram], self.gens
         )
-        # dual_coords = gram^{-1}; column j holds the coordinates of y_j,
-        # so that counit(e_i * y_j) = delta_{ij}.
-        self.dual_basis = tuple(
-            AlgebraElement(self, tuple(dual_coords[k][j] for k in range(n)))
-            for j in range(n)
-        )
-        self.delta_one = TensorElement(self, 2, {
-            (a, i): c
-            for i, y in enumerate(self.dual_basis) for a, c in _vector(y).items()
+        # Column j of gram^{-1} holds the coordinates of y_j, so that
+        # counit(e_i * y_j) = delta_{ij}.
+        self.dual_map = LinearMap(self.gens, n, 1, 1, {
+            j: {k: row[j] for k, row in enumerate(inverse)} for j in range(n)
         })
 
         if validate:
-            self._validate_frobenius(pairing)
+            self._validate_frobenius()
 
     # -- basic accessors -----------------------------------------------------
 
@@ -631,17 +617,20 @@ class FrobeniusAlgebra:
         return MultiPoly.const(self.gens, value)
 
     def mul_basis(self, i: int, j: int) -> AlgebraElement:
-        return self.mult_table[i][j]
-
-    # -- structure maps, each one column store built on first use -------------
+        return self._element(self.mul_map.cols.get(i * self.rank + j, {}))
 
     @cached_property
-    def mul_map(self) -> LinearMap:
-        n = self.rank
-        return LinearMap(self.gens, n, 2, 1, {
-            i * n + j: _vector(self.mult_table[i][j])
-            for i in range(n) for j in range(n)
-        })
+    def dual_basis(self) -> tuple:
+        """y_0, ..., y_{n-1}, read off the columns of `dual_map`."""
+        cols = self.dual_map.cols
+        return tuple(self._element(cols.get(j, {})) for j in range(self.rank))
+
+    @cached_property
+    def delta_one(self) -> TensorElement:
+        """sum_i y_i (x) e_i, read off `delta_one_map`."""
+        return self._tensor(2, self.delta_one_map.cols.get(0, {}))
+
+    # -- structure maps, each one column store built on first use -------------
 
     @cached_property
     def counit_map(self) -> LinearMap:
@@ -653,11 +642,18 @@ class FrobeniusAlgebra:
         return LinearMap(self.gens, self.rank, 0, 1, {0: _vector(self.unit)})
 
     @cached_property
+    def pairing_map(self) -> LinearMap:
+        """(e_i, e_j) -> counit(e_i * e_j): mul, then counit."""
+        return self.mul_map >> self.counit_map
+
+    @cached_property
     def delta_one_map(self) -> LinearMap:
+        """sum_i y_i (x) e_i: entry (a, i) is entry (a, i) of dual_map."""
         n = self.rank
-        return LinearMap(self.gens, n, 0, 2, {
-            0: {_flat(idx, n): c for idx, c in self.delta_one.coeffs.items()}
-        })
+        return LinearMap(self.gens, n, 0, 2, {0: {
+            a * n + i: c
+            for i, y in self.dual_map.cols.items() for a, c in y.items()
+        }})
 
     @cached_property
     def identity_map(self) -> LinearMap:
@@ -691,7 +687,7 @@ class FrobeniusAlgebra:
 
     def handle_scalar(self) -> MultiPoly:
         """counit(mul(delta_one)): the scalar of the one-handled sphere."""
-        return (self.delta_one_map >> self.mul_map >> self.counit_map).entry(0, 0)
+        return (self.delta_one_map >> self.pairing_map).entry(0, 0)
 
     def tensor(self, *elems: AlgebraElement) -> TensorElement:
         """The elementary tensor u1 (x) ... (x) uk, expanded over the basis."""
@@ -826,18 +822,18 @@ class FrobeniusAlgebra:
         otherwise S is the whole basis, and the check is the full n^3 one.
         """
         n = self.rank
+        mul, one = self.mul_map.cols, MultiPoly.one(self.gens)
         for j in range(n):
-            if self.mult_table[0][j] != self.basis_element(j):
+            if mul.get(j) != {j: one}:
                 raise ValueError(
                     f"basis element 0 is not a unit: e0*e{j} != e{j}"
                 )
         for i in range(n):
             for j in range(i + 1, n):
-                if self.mult_table[i][j] != self.mult_table[j][i]:
+                if mul.get(i * n + j) != mul.get(j * n + i):
                     raise ValueError(
                         f"multiplication table is not commutative at ({i}, {j})"
                     )
-        mul, one = self.mul_map.cols, MultiPoly.one(self.gens)
 
         def basis_index(u: dict):
             """a when the sparse vector u is exactly 1 * e_a, else None."""
@@ -885,13 +881,13 @@ class FrobeniusAlgebra:
                 "multiplication is not associative at ({}, {}, {})".format(*bad)
             )
 
-    def _validate_frobenius(self, pairing: LinearMap):
+    def _validate_frobenius(self):
         """counit(e_i * y_j) = delta_ij, and neck cutting
         sum_i y_i counit(e_i * u) = u, on all basis elements."""
         n, gens = self.rank, self.gens
         one = MultiPoly.one(gens)
-        dual = LinearMap(gens, n, 1, 1, dict(enumerate(map(_vector, self.dual_basis))))
-        stages = (_Kron(self.identity_map, dual), pairing.cols)
+        stages = (_Kron(self.identity_map, self.dual_map),
+                  self.pairing_map.cols)
         bad = _first_unequal_column(
             lambda c: _column(stages, c),
             lambda c: {} if c % (n + 1) else {0: one},  # c = i*n + j, i == j
@@ -906,7 +902,7 @@ class FrobeniusAlgebra:
             )
         gram = {u: {i: row[u] for i, row in enumerate(self.gram) if row[u]}
                 for u in range(n)}
-        stages = (gram, dual.cols)
+        stages = (gram, self.dual_map.cols)
         bad = _first_unequal_column(
             lambda u: _column(stages, u), lambda u: {u: one}, range(n)
         )

@@ -127,7 +127,7 @@ class GroupRingAlgebra(FrobeniusAlgebra):
             symbols[_GENERATOR_NAMES[f]] = unit_vector(group.index(residues))
         super().__init__(gens, labels, mult_rows, counit_vec, symbols=symbols)
         for i in range(n):
-            if self.dual_basis[i] != self.basis_element(group.inverse(i)):
+            if self.dual_map.cols.get(i) != {group.inverse(i): one}:
                 raise AssertionError(
                     f"dual basis of element {labels[i]} is not its inverse"
                 )

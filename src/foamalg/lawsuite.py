@@ -171,8 +171,7 @@ def check_theta_trace(ctx: BranchContext) -> LawReport:
     A = ctx.algebra
     n = A.rank
     theta = {_flat(t, n): {0: v} for t, v in ctx.theta.entries.items()}
-    stages = (_Kron(A.identity_map, ctx.bracket_map),
-              (A.mul_map >> A.counit_map).cols)
+    stages = (_Kron(A.identity_map, ctx.bracket_map), A.pairing_map.cols)
     support = sorted(theta.keys() | {
         k * n * n + ij for k in range(n) for ij in ctx.bracket_map.cols})
     return _map_law(
@@ -187,7 +186,7 @@ def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
     A = algebra
     one = MultiPoly.one(A.gens)
     stages = (_Kron(A.delta_one_map, A.identity_map),
-              _Kron(A.identity_map, A.mul_map >> A.counit_map))
+              _Kron(A.identity_map, A.pairing_map))
     return _map_law(
         "delta_one_resolution", A, lambda c: _column(stages, c),
         lambda c: {c: one}, 1, 1,
@@ -250,7 +249,7 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
 
     ident, tau, m = A.identity_map, A.swap_map.cols, ctx.bracket_map
     m_t = m.transpose()
-    pairing = A.mul_map >> A.counit_map
+    pairing = A.pairing_map
     E = partial(_column, (pairing.cols, A.delta_one_map.cols))
     E_t = partial(_column, (A.delta_one_map.transpose().cols,
                             pairing.transpose().cols))

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from foamalg import __version__, cli
+from foamalg import __version__, cli, groupfoam, lawsuite
 from foamalg.cli import MAX_TRUNCATED_RANK, main
 from foamalg.coeffring import MAX_EXPONENT
 from foamalg.foamlang import MAX_MATRIX_CELLS
@@ -303,6 +303,24 @@ class TestEval:
 
 
 class TestReport:
+    def test_pairing_is_built_once(self, capsys, monkeypatch):
+        """counit(u * v), as mul ; counit, is built for the Gram matrix and
+        read from the cache by every law that needs it."""
+        pairings = []
+        rshift = LinearMap.__rshift__
+
+        def counting_rshift(self, other):
+            if (self.in_order, self.out_order, other.in_order,
+                    other.out_order) == (2, 1, 1, 0):
+                pairings.append(self)
+            return rshift(self, other)
+
+        monkeypatch.setattr(LinearMap, "__rshift__", counting_rshift)
+        code, out, err = run(capsys, "report", "--algebra", "group:2,2,2,2",
+                             "--theta", "group")
+        assert (code, err) == (1, "")
+        assert len(pairings) == 1
+
     def test_mv_full(self, capsys):
         code, out, err = run(capsys, "report", "--algebra", "mv",
                              "--theta", "mv")
@@ -466,6 +484,59 @@ class TestConfig:
             code, out, err = run(capsys, "laws", *argv)
             assert (code, out) == (2, "")
             assert err == f"error: config {str(config)!r} is not a JSON object\n"
+
+
+class TestSuiteSelection:
+    """A bad `--suite` exits 2 before any law runs, and an unknown name
+    before the context is built."""
+
+    @staticmethod
+    def count_laws(monkeypatch):
+        calls = []
+        for module, name in [(lawsuite, n) for n in dir(lawsuite)
+                             if n.startswith("check_")] + \
+                [(groupfoam, "check_bialgebra")]:
+            def counted(*args, _law=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _law(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_counter_sees_the_laws(self, capsys, monkeypatch):
+        calls = self.count_laws(monkeypatch)
+        code, out, err = run(capsys, "laws", "--algebra", "group:2,2",
+                             "--theta", "group",
+                             "--suite", "theta_trace,bialgebra")
+        assert code == 0
+        assert calls == ["check_theta_trace", "check_bialgebra"]
+
+    @pytest.mark.parametrize("suite", ["bogus", "jacobi,theta_trace,bogus"])
+    def test_unknown_name_builds_nothing(self, capsys, monkeypatch, suite):
+        calls = self.count_laws(monkeypatch)
+        built = []
+        monkeypatch.setattr(cli, "build_context", built.append)
+        code, out, err = run(capsys, "laws", "--algebra", "aN:63",
+                             "--theta", "lie", "--suite", suite)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown suite 'bogus'; available: ")
+        assert built == [] and calls == []
+
+    @pytest.mark.parametrize("command", ["laws", "report"])
+    def test_bialgebra_needs_a_group_ring_before_any_law(
+            self, capsys, monkeypatch, command):
+        calls = self.count_laws(monkeypatch)
+        code, out, err = run(capsys, command, "--algebra", "aN:5", "--theta",
+                             "lie", "--suite", "jacobi,theta_trace,bialgebra")
+        assert (code, out) == (2, "")
+        assert err == "error: the bialgebra suite needs a group ring algebra\n"
+        assert calls == []
+
+    def test_all_keeps_bialgebra_to_group_rings(self, capsys, monkeypatch):
+        calls = self.count_laws(monkeypatch)
+        code, out, err = run(capsys, "laws", "--algebra", "aN:3", "--theta",
+                             "lie", "--suite", "bialgebra,all")
+        assert code == 1
+        assert "check_bialgebra" not in calls and "check_jacobi" in calls
 
 
 class TestMain:

@@ -8,6 +8,8 @@ from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import (
     DegenerateFormError,
     FrobeniusAlgebra,
+    LinearMap,
+    TensorElement,
     _column,
     _first_unequal_column,
     _Kron,
@@ -209,6 +211,13 @@ class TestMultiplication:
             A.unit + x2
         with pytest.raises(ValueError, match="algebra mismatch"):
             A.tensor(A.unit) + cubic.tensor(cubic.unit)
+
+    def test_tensor_rejects_coefficients_of_another_ring(self, mv):
+        # Caught in the constructor, not at a later `+`.
+        with pytest.raises(ValueError, match="generator mismatch"):
+            TensorElement(mv, 2, {(0, 0): MultiPoly.const(("z",), 3)})
+        t = TensorElement(mv, 2, {(0, 0): 3, (1, 2): mv_poly("a")})
+        assert t.coeffs == {(0, 0): mv_poly("3"), (1, 2): mv_poly("a")}
 
     def test_equality_requires_same_algebra(self):
         # Same rank and coefficients, different algebras: adding the two
@@ -527,6 +536,12 @@ class TestPush:
         for v in got.values():
             assert v.gens == MV_GENS and v.terms
             assert all(c != 0 for c in v.terms.values())
+
+    def test_map_equality_compares_rings(self, mv):
+        assert LinearMap((), 3, 1, 1, {}) != LinearMap(("a",), 3, 1, 1, {})
+        assert LinearMap((), 3, 1, 1, {}) == LinearMap((), 3, 1, 1, {})
+        assert mv.identity_map != truncated_algebra(3).identity_map
+        assert mv.identity_map == LinearMap.identity(MV_GENS, 3)
 
     def test_maps_over_other_rings_are_rejected(self, mv):
         # `_push` trusts its callers to share one ring, so composition and

@@ -374,15 +374,12 @@ def test_skein_identities(ctx):
 
 
 def product_perturbed():
-    """group:2,2 with x*y = 2*x*y in both the table and the mul map: the
-    co-operation is still the diagonal, so the bialgebra law gets past its
-    first sub-law and fails at compatibility."""
+    """group:2,2 with x*y = 2*x*y in the mul map: the co-operation is still
+    the diagonal, so the bialgebra law gets past its first sub-law and fails
+    at compatibility."""
     ctx = CONTEXTS["group:2,2/group"]()
     A = ctx.algebra
     n = A.rank
-    table = [list(row) for row in A.mult_table]
-    table[1][2] = table[2][1] = table[1][2].scale(2)
-    A.mult_table = tuple(map(tuple, table))
     cols = dict(A.mul_map.cols)
     cols[1 * n + 2] = cols[2 * n + 1] = \
         {r: 2 * v for r, v in cols[1 * n + 2].items()}
@@ -409,6 +406,39 @@ def test_bialgebra_fails_at_compatibility():
     ctx = product_perturbed()
     report = check_bialgebra(ctx.algebra, ctx)
     assert report.counterexample["sublaw"] == "compatibility"
+
+
+def test_mul_basis_reads_the_mul_map():
+    A = product_perturbed().algebra
+    plain = CONTEXTS["group:2,2/group"]().algebra
+    doubled = [2 * c for c in plain.mul_basis(1, 2).coeffs]
+    assert list(A.mul_basis(1, 2).coeffs) == doubled
+    assert list(A.mul_basis(2, 1).coeffs) == doubled
+    assert A.mul_basis(1, 1).coeffs == plain.mul_basis(1, 1).coeffs
+
+
+@pytest.mark.parametrize("name", ["mv/mv", "aN:5/lie", "group:2,2/group"])
+def test_views_read_back_the_maps(name):
+    """dual_basis, delta_one and bracket_basis are the columns of dual_map,
+    delta_one_map and bracket_map."""
+    ctx = CONTEXTS[name]()
+    A = ctx.algebra
+    n = A.rank
+    e = [A.basis_element(i) for i in range(n)]
+    for j, y in enumerate(A.dual_basis):
+        assert A.dual_map.apply(A.tensor(e[j])) == A.tensor(y)
+        for a in range(n):
+            assert A.delta_one_map.entry(a * n + j, 0) == \
+                A.dual_map.entry(a, j)
+    assert A.delta_one == sum(
+        (A.tensor(y, e[i]) for i, y in enumerate(A.dual_basis)),
+        A.tensor_zero(2))
+    assert A.delta_one.coeffs == {
+        _unflat(r, n, 2): v for r, v in A.delta_one_map.cols[0].items()}
+    for i in range(n):
+        for j in range(n):
+            assert A.tensor(ctx.bracket_basis(i, j)) == \
+                ctx.bracket_map.apply(A.tensor(e[i], e[j]))
 
 
 @pytest.mark.parametrize("check", [check_antisymmetry, check_jacobi])
