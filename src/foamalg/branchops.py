@@ -59,6 +59,15 @@ class BranchContext:
                          {ij: _push(duals, w) for ij, w in weights.items()})
 
     @cached_property
+    def theta_map(self) -> LinearMap:
+        """The theta foam as a 3 -> 0 map: column (i, j, k) is
+        theta(e_i, e_j, e_k)."""
+        n = self.algebra.rank
+        return LinearMap(self.algebra.gens, n, 3, 0, {
+            (i * n + j) * n + k: {0: t}
+            for (i, j, k), t in self.theta.entries.items()})
+
+    @cached_property
     def cocomul_map(self) -> LinearMap:
         """u -> sum_i bracket(u, y_i) (x) e_i: delta_one beside the input,
         then the bracket on the two left legs, read one column at a time
@@ -108,8 +117,8 @@ class BranchContext:
     def linear_map(self, which: str) -> LinearMap:
         """Exact matrix of a named generator map.
 
-        Names: bracket, cocomul, cocomul_skein, mul, comul, counit_map,
-        unit_map, swap, identity, delta_one_map.
+        Names: bracket, cocomul, cocomul_skein, theta, mul, comul,
+        counit_map, unit_map, swap, identity, delta_one_map.
         """
         path = _LINEAR_MAPS.get(which)
         if path is None:
@@ -131,4 +140,5 @@ _LINEAR_MAPS = {
     "bracket": "bracket_map",
     "cocomul": "cocomul_map",
     "cocomul_skein": "cocomul_skein_map",
+    "theta": "theta_map",
 }

@@ -21,7 +21,7 @@ from .foamlang import ArityError, ParseError, eval_closed, parse, typecheck, \
 from .frobalg import FrobeniusAlgebra, algebra_from_modulus, mv_algebra, \
     truncated_algebra
 from .groupfoam import GroupRingAlgebra, derive_bialgebra_theta, group_ring
-from .lawsuite import SUITE_NAMES, run_suite, suite_passed
+from .lawsuite import SUITE_NAMES, run_suite, select_suites, suite_passed
 from .thetafoam import ThetaTable, lie_theta, mv_theta
 
 
@@ -200,8 +200,8 @@ def _report_lines(report) -> str:
 
 def _run_selected(args):
     """Build the context and run the comma-separated `--suite` selection.
-    An unknown name is refused before the context is built, and bialgebra
-    on an algebra that is not a group ring before any law runs."""
+    `select_suites` refuses an unknown name before the context is built,
+    and `run_suite` bialgebra off a group ring before any law runs."""
     names = None if args.suite in (None, "all") else [
         s.strip() for s in args.suite.split(",") if s.strip()
     ]
@@ -211,15 +211,8 @@ def _run_selected(args):
             f"--suite {args.suite!r} selects no law; available: "
             f"{', '.join(SUITE_NAMES)}, all"
         )
-    unknown = [s for s in names or () if s not in SUITE_NAMES + ("all",)]
-    if unknown:
-        raise SpecError(f"unknown suite {unknown[0]!r}; available: "
-                        f"{', '.join(SUITE_NAMES)}")
-    ctx = build_context(args)
-    if "bialgebra" in (names or ()) and "all" not in names and \
-            not isinstance(ctx.algebra, GroupRingAlgebra):
-        raise SpecError("the bialgebra suite needs a group ring algebra")
-    return run_suite(ctx, names)
+    select_suites(names)
+    return run_suite(build_context(args), names)
 
 
 def cmd_laws(args) -> int:

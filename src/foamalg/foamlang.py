@@ -10,21 +10,23 @@ Generators, with (inputs, outputs):
 
     id (1,1)   swap (2,2)   mul (2,1)    comul (1,2)   unit (0,1)
     counit (1,0)   bmul (2,1)   bcomul (1,2)   bcomul_skein (1,2)
-    label(elem) (1,1)
+    theta (3,0)   delta_one (0,2)   label(elem) (1,1)
 
-`label(elem)` multiplies by a fixed algebra element; `elem` uses the
-polynomial syntax extended with the algebra's basis symbols (X^k powers, or
-group generator names).
+`theta` is the theta foam, the table as a 3 -> 0 map; `delta_one` is the
+neck, sum_i y_i (x) e_i.  `label(elem)` multiplies by a fixed algebra
+element; `elem` uses the polynomial syntax extended with the algebra's basis
+symbols (X^k powers, or group generator names).  `Compiler.side` compiles
+the law suite's signed sums of diagrams on the same column sources.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from .branchops import BranchContext, LinearMap
-from .frobalg import _Kron, _column
+from .frobalg import _Kron, _column, _push
 from .coeffring import MAX_EXPONENT, MultiPoly, name_degrees
 
 
@@ -38,6 +40,8 @@ GENERATOR_ARITIES = {
     "bmul": (2, 1),
     "bcomul": (1, 2),
     "bcomul_skein": (1, 2),
+    "theta": (3, 0),
+    "delta_one": (0, 2),
     "label": (1, 1),
 }
 
@@ -160,21 +164,21 @@ def _lex(src: str):
 # -- parser ---------------------------------------------------------------------
 
 
-_FACTOR_EXPECTED = sorted(set(GENERATOR_ARITIES) - {"label"}) + ["label(...)", "("]
-
 # Deepest parenthesis nesting `parse` accepts.  Parsing, type checking and
 # compilation each recurse once per level, so this bound keeps every stage
 # well inside Python's default recursion limit.
 MAX_NESTING = 100
 
 
-def parse(src: str) -> DiagramExpr:
-    """Parse diagram source into an AST.
+def parse(src: str, arities=GENERATOR_ARITIES) -> DiagramExpr:
+    """Parse diagram source into an AST, over the generators named in
+    `arities`.
 
     Raises ParseError with the exact (line, column) on malformed input,
     including parentheses nested deeper than MAX_NESTING.
     """
     tokens = _lex(src)
+    expected = sorted(set(arities) - {"label"}) + ["label(...)", "("]
     pos = 0
     depth = 0
 
@@ -192,9 +196,9 @@ def parse(src: str) -> DiagramExpr:
         kind, text, at = peek()
         if kind == "NAME":
             advance()
-            if text not in GENERATOR_ARITIES or text == "label":
+            if text not in arities or text == "label":
                 raise ParseError(f"unknown generator {text!r}", at,
-                                 expected=_FACTOR_EXPECTED)
+                                 expected=expected)
             return Generator(text, pos=at)
         if kind == "LABEL":
             advance()
@@ -214,7 +218,7 @@ def parse(src: str) -> DiagramExpr:
             return inner
         raise ParseError(
             f"expected a generator, found {text or 'end of input'!r}", at,
-            expected=_FACTOR_EXPECTED,
+            expected=expected,
         )
 
     def parse_term():
@@ -265,21 +269,22 @@ def pretty(e: DiagramExpr) -> str:
     raise TypeError(f"not a diagram expression: {e!r}")
 
 
-def typecheck(e: DiagramExpr) -> tuple[int, int]:
-    """Return (in_arity, out_arity); raise ArityError if composition breaks."""
+def typecheck(e: DiagramExpr, arities=GENERATOR_ARITIES) -> tuple[int, int]:
+    """Return (in_arity, out_arity) over the generators named in `arities`;
+    raise ArityError if composition breaks."""
     if isinstance(e, Generator):
-        return GENERATOR_ARITIES[e.name]
+        return arities[e.name]
     if isinstance(e, Tensor):
         ins, outs = 0, 0
         for p in e.parts:
-            i, o = typecheck(p)
+            i, o = typecheck(p, arities)
             ins += i
             outs += o
         return ins, outs
     if isinstance(e, Compose):
-        first_in, prev_out = typecheck(e.parts[0])
+        first_in, prev_out = typecheck(e.parts[0], arities)
         for p in e.parts[1:]:
-            i, o = typecheck(p)
+            i, o = typecheck(p, arities)
             if i != prev_out:
                 raise ArityError(
                     f"arity mismatch in composition: previous output {prev_out} "
@@ -300,6 +305,8 @@ _GENERATOR_MAPS = {
     "bmul": "bracket",
     "bcomul": "cocomul",
     "bcomul_skein": "cocomul_skein",
+    "theta": "theta",
+    "delta_one": "delta_one_map",
 }
 
 
@@ -372,10 +379,28 @@ class _Made:
 
 def _stage(factors: list):
     """The columns of the Kronecker product of `factors`: one factor's own,
-    or a `_Made` of the factors' column products."""
-    if len(factors) == 1:
-        return factors[0].cols
-    return _Made(_Kron(*factors).get)
+    or a `_Kron` of them."""
+    return factors[0].cols if len(factors) == 1 else _Kron(*factors)
+
+
+def _full(factors: list) -> bool:
+    """Whether the Kronecker product of `factors` can be nonzero on every
+    input column."""
+    return all(f.full() if isinstance(f, _Chain)
+               else len(f.cols) == f.n ** f.in_order for f in factors)
+
+
+def _support(factors: list):
+    """The input columns where the Kronecker product of `factors` can be
+    nonzero: the products of a map's stored columns and a chain's first
+    stage's."""
+    out = None
+    for f in factors:
+        width = f.n ** f.in_order
+        keys = f.support() if isinstance(f, _Chain) else f.cols.keys()
+        out = keys if out is None else {a * width + b for a in out
+                                        for b in keys}
+    return out
 
 
 class _Chain:
@@ -383,13 +408,143 @@ class _Chain:
     column j is input column j pushed through the parts' stages in turn,
     made when first read and kept."""
 
-    __slots__ = ("n", "in_order", "out_order", "cols")
+    __slots__ = ("n", "in_order", "out_order", "cols", "first")
 
     def __init__(self, parts: list):
         self.n = parts[0][0].n
         self.in_order = sum(f.in_order for f in parts[0])
         self.out_order = sum(f.out_order for f in parts[-1])
         self.cols = _Made(partial(_column, list(map(_stage, parts))))
+        self.first = parts[0]
+
+    def full(self) -> bool:
+        return _full(self.first)
+
+    def support(self):
+        return _support(self.first)
+
+
+@lru_cache(maxsize=256)
+def _permuter(perm: tuple, n: int):
+    """c -> the flat index of (x[perm[0]], ..., x[perm[-1]]), for x the
+    legs at flat index c."""
+    k = len(perm)
+    weights = [n ** (k - 1 - perm.index(s)) for s in reversed(range(k))]
+
+    def permute(c: int) -> int:
+        out = 0
+        for w in weights:
+            c, x = divmod(c, n)
+            out += x * w
+        return out
+    return permute
+
+
+class Side:
+    """A signed sum of compiled diagrams as a column source: `get(c)` is
+    column c, `full()` whether every column can be nonzero, `support()` the
+    set of those that can, and `outputs` the diagrams' outputs before any
+    transpose.  A term is (coefficient, column function, factors, the map
+    of the factors' columns to the side's or None)."""
+
+    def __init__(self, terms, gens, outputs):
+        self.terms, self.outputs = terms, outputs
+        fetches = [t[1] for t in terms]
+        if len(terms) == 1 and terms[0][0] == 1:
+            self.get = lambda c: fetches[0](c) or {}
+        else:
+            weights = [(k, MultiPoly.const(gens, t[0]))
+                       for k, t in enumerate(terms)]
+            self.get = lambda c: _push(
+                {k: f(c) for k, f in enumerate(fetches)}, weights)
+
+    def full(self) -> bool:
+        return any(_full(factors) for _, _, factors, _ in self.terms)
+
+    def support(self) -> set:
+        out = set()
+        for _, _, factors, back in self.terms:
+            keys = _support(factors)
+            out.update(keys if back is None else map(back, keys))
+        return out
+
+
+@lru_cache(maxsize=256)
+def _parsed(text: str, extra: tuple):
+    """(tree, arity, source) of a diagram, parsed once; `extra` holds the
+    (name, arity) pairs of the maps beyond the generators."""
+    arities = {**GENERATOR_ARITIES, **dict(extra)}
+    tree = parse(text, arities)
+    return tree, typecheck(tree, arities), pretty(tree)
+
+
+class Compiler:
+    """Compiles diagrams over one context to column sources.
+
+    Identical subtrees are compiled once, keyed by their source text, so
+    their columns are made once however often they are read; `mul ; counit`
+    is the stored pairing.  `maps` names maps beyond the generators.  With
+    `transpose`, every diagram compiles to its transpose: each `;`
+    reversed, each `*` kept in order, each generator transposed.
+    """
+
+    def __init__(self, ctx: BranchContext, maps=None, transpose=False):
+        self.ctx, self.maps, self.transpose = ctx, maps or {}, transpose
+        self.extra = tuple((k, (m.in_order, m.out_order))
+                           for k, m in self.maps.items())
+        pairing = ctx.algebra.pairing_map
+        self.memo = {"mul ; counit": [pairing.transpose() if transpose
+                                      else pairing]}
+
+    def factors(self, node) -> list:
+        """The Kronecker factors of a well-typed tree: maps, or `_Chain`s
+        for compositions."""
+        if isinstance(node, Tensor):
+            return [f for p in node.parts for f in self.factors(p)]
+        key = pretty(node)
+        if key not in self.memo:
+            self.memo[key] = [self._make(node)]
+        return self.memo[key]
+
+    def _make(self, node):
+        if isinstance(node, Compose):
+            parts = [self.factors(p) for p in node.parts]
+            return _Chain(parts[::-1] if self.transpose else parts)
+        ctx = self.ctx
+        if node.name == "label":
+            m = ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
+        else:
+            m = self.maps.get(node.name) or \
+                ctx.linear_map(_GENERATOR_MAPS[node.name])
+        # id and swap are their own transposes.
+        if self.transpose and node.name not in ("id", "swap"):
+            return m.transpose()
+        return m
+
+    def side(self, terms) -> Side:
+        """The column source of sum_k a_k * d_k(x_P_k) for `terms` of
+        (a_k, P_k or None, source of d_k): d_k takes the input legs x in
+        the order P_k.  A diagram that only one term reads does not keep
+        its columns, since the walk reads each once."""
+        parsed = [_parsed(text, self.extra) for _, _, text in terms]
+        keys = [key for _, _, key in parsed]
+        n, out = self.ctx.algebra.rank, []
+        for (a, perm, _), (tree, _, key) in zip(terms, parsed):
+            factors = self.factors(tree)
+            source = _stage(factors)
+            fetch = source.make if isinstance(source, _Made) and \
+                keys.count(key) == 1 else source.get
+            back = perm and _permuter(  # the inverse permutation
+                tuple(sorted(range(len(perm)), key=perm.__getitem__)), n)
+            if perm and self.transpose:
+                fetch = lambda r, f=fetch, b=back: {
+                    b(c): v for c, v in (f(r) or {}).items()}
+                back = None
+            elif perm:
+                fetch = lambda c, f=fetch, p=_permuter(perm, n): f(p(c))
+            out.append((a, fetch, factors, back))
+        return Side(out, self.ctx.algebra.gens,
+                    parsed[0][1][1] if parsed else None)
 
 
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
@@ -397,11 +552,12 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
 
     Generators become their matrices; a tensor and a composition become
     column sources (`_stage`, `_Chain`) whose columns are made from their
-    parts' columns when first read, as Kronecker products or by pushing
-    through the parts in turn, and kept.  The result reads its n^in input
-    columns, so nothing is made that they do not need: a closed diagram
-    makes only what its one column passes through.  Raises ValueError,
-    before building anything, when the diagram exceeds MAX_MATRIX_CELLS.
+    parts' columns when read, as Kronecker products or by pushing through
+    the parts in turn, a composition's kept.  The result reads its n^in
+    input columns, so nothing is made that they do not need: a closed
+    diagram makes only what its one column passes through.  Raises
+    ValueError, before building anything, when the diagram exceeds
+    MAX_MATRIX_CELLS.
     """
     return _compile(e, ctx, typecheck(e))
 
@@ -418,17 +574,7 @@ def _compile(e: DiagramExpr, ctx: BranchContext,
             f"{n}^{ins + legs} = {cells} matrix cells at rank {n}, more than "
             f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
-
-    def factors(node) -> list:
-        if isinstance(node, Generator):
-            if node.name == "label":
-                return [ctx.mul_by_map(A.parse_element(node.payload))]
-            return [ctx.linear_map(_GENERATOR_MAPS[node.name])]
-        if isinstance(node, Tensor):
-            return [f for p in node.parts for f in factors(p)]
-        return [_Chain([factors(p) for p in node.parts])]
-
-    whole = _stage(factors(e))
+    whole = _stage(Compiler(ctx).factors(e))
     cols = {c: whole.get(c) or {} for c in range(n ** ins)}
     return LinearMap(A.gens, n, *arity, cols)
 

@@ -411,6 +411,8 @@ class LinearMap:
             raise TypeError(f"expected LinearMap, got {type(other).__name__}")
         if (other.n, other.in_order, other.out_order) != (self.n, self.in_order, self.out_order):
             raise ValueError("linear map shape mismatch")
+        if other.gens != self.gens:
+            raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")
         return other
 
     def __add__(self, other):
@@ -669,9 +671,12 @@ class FrobeniusAlgebra:
     @cached_property
     def comul_map(self) -> LinearMap:
         """u -> sum_i y_i (x) (e_i * u): delta_one beside the input, then mul
-        on the two right legs."""
-        return (self.delta_one_map @ self.identity_map) >> \
-            (self.identity_map @ self.mul_map)
+        on the two right legs, read one column at a time (id (x) mul has
+        n^3 columns)."""
+        stages = ((self.delta_one_map @ self.identity_map).cols,
+                  _Kron(self.identity_map, self.mul_map))
+        return LinearMap(self.gens, self.rank, 1, 2,
+                         {u: _column(stages, u) for u in range(self.rank)})
 
     def mul(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Bilinear extension of the multiplication table."""

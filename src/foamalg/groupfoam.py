@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from .branchops import BranchContext
 from .coeffring import MultiPoly
+from .foamlang import Compiler
 from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
-    TensorElement, _column, _Kron
-from .lawsuite import LawReport, _compare
+    TensorElement
+from .lawsuite import LAWS, LawReport, _compare, sides
 from .thetafoam import ThetaTable
 
 _GENERATOR_NAMES = ("x", "y", "z", "w", "v", "u")
@@ -176,39 +177,24 @@ def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
 
 
 def check_bialgebra(A: GroupRingAlgebra, ctx: BranchContext) -> LawReport:
-    """Verify the branch co-operation gives a bialgebra on the group ring.
-
-    Three map equations, checked column by column in this order:
-    (a) cocomul equals the diagonal g -> g (x) g;
-    (b) compatibility, mul ; cocomul == (cocomul (x) cocomul) ;
-        (id (x) swap (x) id) ; (mul (x) mul), on all basis pairs;
-    (c) the counit laws cocomul ; (aug (x) id) == id and
-        cocomul ; (id (x) aug) == id for the augmentation aug sending every
-        group element to 1, left before right for each basis element.
-    """
+    """Verify the branch co-operation gives a bialgebra on the group ring:
+    the laws of `lawsuite.LAWS` that cocomul equals the diagonal `diag`,
+    g -> g (x) g; then compatibility with mul on all basis pairs; then the
+    counit laws for the augmentation `aug`, sending every group element to
+    1, left and right taking turns on each basis element."""
     if ctx.algebra is not A:
         raise ValueError("context was not built from the given algebra")
     n, one = A.rank, MultiPoly.one(A.gens)
-    ident, mul, cocomul = A.identity_map, A.mul_map, ctx.cocomul_map
-    aug = LinearMap(A.gens, n, 1, 0, {g: {0: one} for g in range(n)})
-    product = (_Kron(cocomul, cocomul), _Kron(ident, A.swap_map, ident),
-               _Kron(mul, mul))
-    sides = ((cocomul.cols, _Kron(aug, ident)),
-             (cocomul.cols, _Kron(ident, aug)))
-    # Each sub-law: its names, which take turns on each input tuple; its
-    # input and output orders; and the columns of its two sides.
-    sublaws = (
-        (("cocomul equals diagonal",), 1, 2,
-         lambda c: cocomul.cols.get(c, {}), lambda c: {c * n + c: one}),
-        (("compatibility",), 2, 2,
-         lambda c: _column((mul.cols, cocomul.cols), c),
-         lambda c: _column(product, c)),
-        (("counit law (left)", "counit law (right)"), 1, 1,
-         lambda c: _column(sides[c % 2], c // 2), lambda c: {c // 2: one}),
-    )
+    compiler = Compiler(ctx, {
+        "aug": LinearMap(A.gens, n, 1, 0, {g: {0: one} for g in range(n)}),
+        "diag": LinearMap(A.gens, n, 1, 2, {g: {g * n + g: one}
+                                            for g in range(n)}),
+    })
     cases = 0
-    for names, in_order, out_order, lhs, rhs in sublaws:
-        checked, cx = _compare(A, lhs, rhs, in_order, out_order, len(names))
+    for names in (("cocomul equals diagonal",), ("compatibility",),
+                  ("counit law (left)", "counit law (right)")):
+        checked, cx = _compare(A, [sides(compiler, law) for law in names],
+                               LAWS[names[0]][0])
         cases += checked
         if cx is not None:
             sublaw = names[(checked - 1) % len(names)]

@@ -3,12 +3,13 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from foamalg.branchops import BranchContext, LinearMap
 from foamalg.foamlang import (
     MAX_MATRIX_CELLS,
     ArityError,
+    Compiler,
     Compose,
     Generator,
     ParseError,
@@ -395,3 +396,81 @@ class TestInterchange:
             whole = compile_diagram(Compose([f, g]), mv_ctx)
             parts = compile_diagram(f, mv_ctx) >> compile_diagram(g, mv_ctx)
             assert whole == parts
+
+
+class TestColumnSources:
+    """`Compiler`, the column-source layer that compiles law sides: its
+    transposes, its reported supports, and the `theta` and `delta_one`
+    generators, on `mv`."""
+
+    exprs = TestRoundTrip.exprs
+
+    @staticmethod
+    def small(e):
+        """The arity of a well-typed `e` with few enough legs to walk every
+        column, or None."""
+        try:
+            ins, outs = typecheck(e)
+        except ArityError:
+            return None
+        return (ins, outs) if ins + outs <= 5 else None
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs)
+    def test_compiled_transpose(self, mv_ctx, e):
+        arity = self.small(e)
+        assume(arity is not None)
+        ins, outs = arity
+        A = mv_ctx.algebra
+        side = Compiler(mv_ctx, transpose=True).side([(1, None, pretty(e))])
+        got = LinearMap(A.gens, A.rank, outs, ins,
+                        {r: side.get(r) for r in range(A.rank ** outs)})
+        assert got == compile_diagram(e, mv_ctx).transpose()
+
+    @settings(max_examples=60, deadline=None)
+    @given(exprs, st.booleans(), st.booleans())
+    def test_columns_outside_the_support_are_zero(self, mv_ctx, e, transpose,
+                                                  permute):
+        arity = self.small(e)
+        assume(arity is not None)
+        ins, outs = arity
+        legs = outs if transpose else ins
+        perm = tuple(reversed(range(ins))) if permute and ins > 1 else None
+        side = Compiler(mv_ctx, transpose=transpose).side(
+            [(1, perm, pretty(e)), (-2, None, pretty(e))])
+        if side.full():
+            return
+        support = side.support()
+        for c in range(mv_ctx.algebra.rank ** legs):
+            if c not in support:
+                assert side.get(c) == {}
+
+    def test_permuted_term(self, mv_ctx):
+        """A term (a, P, d) maps (x_0, x_1) to a * d(x_P0, x_P1)."""
+        A = mv_ctx.algebra
+        n = A.rank
+        side = Compiler(mv_ctx).side([(3, (1, 0), "bmul")])
+        m = mv_ctx.bracket_map
+        for i in range(n):
+            for j in range(n):
+                want = {r: 3 * v for r, v in m.cols.get(j * n + i, {}).items()}
+                assert side.get(i * n + j) == want
+
+    def test_closed_theta_diagram(self, mv_ctx):
+        A = mv_ctx.algebra
+        elems = ["1", "X", "X^2", "a*X + b", "X - 1"]
+        for u, v, w in [(u, v, w) for u in elems for v in elems
+                        for w in elems[:3]]:
+            src = (f"(unit;label({u})) * (unit;label({v})) * "
+                   f"(unit;label({w})) ; theta")
+            assert eval_closed(parse(src), mv_ctx) == mv_ctx.theta.eval(
+                A.parse_element(u), A.parse_element(v), A.parse_element(w))
+
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: BranchContext(mv_algebra(), mv_theta()),
+        lambda: BranchContext(truncated_algebra(5), lie_theta(5)),
+    ])
+    def test_delta_one_is_the_neck(self, make_ctx):
+        ctx = make_ctx()
+        assert compile_diagram(parse("delta_one"), ctx) == \
+            compile_diagram(parse("unit ; comul"), ctx)

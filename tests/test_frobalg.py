@@ -552,6 +552,18 @@ class TestPush:
         with pytest.raises(ValueError, match="generator mismatch"):
             mv.identity_map.apply(cubic.tensor(cubic.unit))
 
+    def test_sums_of_maps_over_other_rings_are_rejected(self):
+        # A sum over one ring must not hold an entry of another.
+        a = MultiPoly.gen(("a",), "a")
+        plain = LinearMap((), 3, 1, 1, {})
+        over_a = LinearMap(("a",), 3, 1, 1, {0: {0: a}})
+        for lhs, rhs in ((plain, over_a), (over_a, plain)):
+            with pytest.raises(ValueError, match="generator mismatch"):
+                lhs + rhs
+            with pytest.raises(ValueError, match="generator mismatch"):
+                lhs - rhs
+        assert over_a - over_a == LinearMap(("a",), 3, 1, 1, {})
+
 
 class TestColumnsOnDemand:
     """`_Kron` and `_column` read composites one column at a time; each

@@ -3,7 +3,12 @@ import pytest
 from foamalg.branchops import BranchContext
 from foamalg.frobalg import mv_algebra, truncated_algebra
 from foamalg.groupfoam import derive_bialgebra_theta, group_ring
+from foamalg import groupfoam, lawsuite
+from foamalg.foamlang import GENERATOR_ARITIES, parse, typecheck
 from foamalg.lawsuite import (
+    LAWS,
+    SUITE_NAMES,
+    SUITES,
     LawReport,
     check_antisymmetry,
     check_cocomul_two_sided,
@@ -166,6 +171,44 @@ class TestSuite:
         with pytest.raises(ValueError, match="group ring"):
             run_suite(mv_ctx, ["bialgebra"])
 
+    @staticmethod
+    def count_laws(monkeypatch):
+        """Every check the suites can call, counted where they look it up."""
+        calls = []
+        targets = [(lawsuite, n) for n in dir(lawsuite) if n.startswith("check_")]
+        for module, name in targets + [(groupfoam, "check_bialgebra")]:
+            def counted(*args, _law=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _law(*args)
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("names", [
+        ["jacobi", "bogus"], ["delta_one", "all", "bogus"], ["bogus", "all"]])
+    def test_unknown_name_runs_no_law(self, mv_ctx, monkeypatch, names):
+        calls = self.count_laws(monkeypatch)
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            run_suite(mv_ctx, names)
+        assert calls == []
+
+    def test_bialgebra_off_a_group_ring_runs_no_law(self, mv_ctx, monkeypatch):
+        calls = self.count_laws(monkeypatch)
+        with pytest.raises(ValueError, match="group ring"):
+            run_suite(mv_ctx, ["jacobi", "theta_trace", "bialgebra"])
+        assert calls == []
+
+    def test_registry_calls_through_module_globals(self, mv_ctx, monkeypatch):
+        calls = self.count_laws(monkeypatch)
+        run_suite(mv_ctx, ["all"])
+        assert calls == ["check_antisymmetry", "check_jacobi",
+                         "check_cocomul_two_sided", "check_skein_identities",
+                         "check_theta_trace", "check_delta_one_resolution"]
+        A = group_ring([2, 2])
+        calls.clear()
+        run_suite(BranchContext(A, derive_bialgebra_theta(A)), ["bialgebra"])
+        assert calls == ["check_bialgebra"]
+        assert SUITE_NAMES == tuple(SUITES)
+
     def test_report_invariant(self):
         with pytest.raises(ValueError, match="passing report"):
             LawReport(law="x", passed=True, checked_cases=1,
@@ -178,3 +221,23 @@ class TestSuite:
         parsed = json.loads(blob)
         assert len(parsed) == len(reports)
         assert all("law" in entry and "passed" in entry for entry in parsed)
+
+
+class TestLawTable:
+    EXTRA = {"aug": (1, 0), "diag": (1, 2)}
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_sides_are_well_typed(self, law):
+        """Every diagram of a law takes its inputs and gives one number of
+        outputs, for both conventions of the co-operation."""
+        arities = {**GENERATOR_ARITIES, **self.EXTRA}
+        inputs, lhs, rhs = LAWS[law]
+        for D in ("bcomul", "bcomul_skein"):
+            outputs = set()
+            for a, perm, text in lhs + rhs:
+                ins, outs = typecheck(parse(text.format(D=D), arities),
+                                      arities)
+                assert ins == inputs
+                assert perm is None or sorted(perm) == list(range(inputs))
+                outputs.add(outs)
+            assert len(outputs) == 1
