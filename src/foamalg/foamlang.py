@@ -444,14 +444,14 @@ class Side:
     """A signed sum of compiled diagrams as a column source: `get(c)` is
     column c, `full()` whether every column can be nonzero, `support()` the
     set of those that can, and `outputs` the diagrams' outputs before any
-    transpose.  A term is (coefficient, column function, factors, the map
-    of the factors' columns to the side's or None)."""
+    transpose.  A term is (coefficient, column function giving dicts,
+    factors, the map of the factors' columns to the side's or None)."""
 
     def __init__(self, terms, gens, outputs):
         self.terms, self.outputs = terms, outputs
         fetches = [t[1] for t in terms]
         if len(terms) == 1 and terms[0][0] == 1:
-            self.get = lambda c: fetches[0](c) or {}
+            self.get = fetches[0]
         else:
             weights = [(k, MultiPoly.const(gens, t[0]))
                        for k, t in enumerate(terms)]
@@ -532,13 +532,15 @@ class Compiler:
         for (a, perm, _), (tree, _, key) in zip(terms, parsed):
             factors = self.factors(tree)
             source = _stage(factors)
-            fetch = source.make if isinstance(source, _Made) and \
-                keys.count(key) == 1 else source.get
+            if isinstance(source, _Made):
+                fetch = source.make if keys.count(key) == 1 else source.get
+            else:  # a map's columns or a `_Kron`: None for a zero column
+                fetch = lambda c, get=source.get: get(c) or {}
             back = perm and _permuter(  # the inverse permutation
                 tuple(sorted(range(len(perm)), key=perm.__getitem__)), n)
             if perm and self.transpose:
                 fetch = lambda r, f=fetch, b=back: {
-                    b(c): v for c, v in (f(r) or {}).items()}
+                    b(c): v for c, v in f(r).items()}
                 back = None
             elif perm:
                 fetch = lambda c, f=fetch, p=_permuter(perm, n): f(p(c))
