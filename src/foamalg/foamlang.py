@@ -443,9 +443,10 @@ def _permuter(perm: tuple, n: int):
 class Side:
     """A signed sum of compiled diagrams as a column source: `get(c)` is
     column c, `full()` whether every column can be nonzero, `support()` the
-    set of those that can, and `outputs` the diagrams' outputs before any
-    transpose.  A term is (coefficient, column function giving dicts,
-    factors, the map of the factors' columns to the side's or None)."""
+    set (or a dict's keys) of those that can, and `outputs` the diagrams'
+    outputs before any transpose.  A term is (coefficient, column function
+    giving dicts, factors, the map of the factors' columns to the side's or
+    None)."""
 
     def __init__(self, terms, gens, outputs):
         self.terms, self.outputs = terms, outputs
@@ -461,7 +462,9 @@ class Side:
     def full(self) -> bool:
         return any(_full(factors) for _, _, factors, _ in self.terms)
 
-    def support(self) -> set:
+    def support(self):
+        if len(self.terms) == 1 and self.terms[0][3] is None:
+            return _support(self.terms[0][2])
         out = set()
         for _, _, factors, back in self.terms:
             keys = _support(factors)

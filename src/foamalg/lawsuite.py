@@ -136,7 +136,8 @@ def _columns(pairs, count: int):
             for side in pair:
                 keys = side.support()
                 support.update(keys if k == 1 else (c * k + t for c in keys))
-        yield sorted(c for c in support if c >= head)
+        support.difference_update(range(head))
+        yield sorted(support)
     return chain.from_iterable(parts())
 
 
