@@ -1,10 +1,12 @@
 """Finite-rank commutative Frobenius algebras over Z[g1, ..., gk].
 
-An algebra is presented by a multiplication table on a chosen basis together
-with the counit (Frobenius form) on basis elements.  Construction derives
-the pairing, its Gram matrix and inverse, and the dual basis, each stored as
-a map, and validates the algebra axioms exactly: associativity by Light's
-test over a generating set, the rest on all basis tuples.
+An algebra is presented by its product on a chosen basis, given as sparse
+columns {i*n + j: {k: c}} (e_i e_j = sum_k c e_k, the form `mul_map`
+stores), together with the counit (Frobenius form) on basis elements.
+Construction derives the pairing, its Gram matrix and inverse, and the dual
+basis, each stored as a map, and validates the algebra axioms exactly:
+associativity by Light's test over a generating set, the rest on all basis
+tuples.
 
 Every structure map (mul, comul, counit, unit, swap, identity, delta_one,
 and the branch maps built in `branchops`) is one `LinearMap`: a sparse
@@ -544,14 +546,17 @@ def unimodular_inverse(mat, gens):
 
 
 class FrobeniusAlgebra:
-    """A commutative Frobenius algebra presented by a multiplication table.
+    """A commutative Frobenius algebra presented by its product columns.
 
+    `mul_cols` maps i*n + j to e_i e_j as a sparse {k: MultiPoly} column;
+    it is stored as `mul_map` as given, after one ring check per entry.
+    `counit_vec` and the `symbols` values are dense coefficient lists.
     Immutable after construction.  The Frobenius data is stored once, as the
     maps `mul_map`, `counit_map`, `pairing_map`, `dual_map` (column j is y_j)
     and `delta_one_map`; `mul_basis`, `dual_basis` and `delta_one` are views.
     """
 
-    def __init__(self, gens, basis_labels, mult_rows, counit_vec,
+    def __init__(self, gens, basis_labels, mul_cols, counit_vec,
                  symbols=None, validate: bool = True):
         self.gens = tuple(gens)
         self.basis_labels = tuple(basis_labels)
@@ -562,10 +567,11 @@ class FrobeniusAlgebra:
 
         # The element constructor checks the rank and ring of every vector.
         self.counit_vec = AlgebraElement(self, counit_vec).coeffs
-        self.mul_map = LinearMap(self.gens, n, 2, 1, {
-            i * n + j: _vector(AlgebraElement(self, mult_rows[i][j]))
-            for i in range(n) for j in range(n)
-        })
+        self.mul_map = LinearMap(self.gens, n, 2, 1, mul_cols)
+        bad = next((c.gens for col in self.mul_map.cols.values()
+                    for c in col.values() if c.gens != self.gens), None)
+        if bad is not None:
+            raise ValueError(f"generator mismatch: {bad} vs {self.gens}")
 
         self._symbols = {
             name: AlgebraElement(self, coeffs)
@@ -679,7 +685,7 @@ class FrobeniusAlgebra:
                          {u: _column(stages, u) for u in range(self.rank)})
 
     def mul(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
-        """Bilinear extension of the multiplication table."""
+        """Bilinear extension of the product on the basis."""
         return self._apply(self.mul_map, u, v)
 
     def counit(self, u: AlgebraElement) -> MultiPoly:
@@ -931,7 +937,10 @@ def algebra_from_modulus(generators, modulus, counit,
     gens = tuple(generators)
 
     def as_poly(c):
-        return c if isinstance(c, MultiPoly) else MultiPoly.const(gens, c)
+        c = c if isinstance(c, MultiPoly) else MultiPoly.const(gens, c)
+        if c.gens != gens:
+            raise ValueError(f"generator mismatch: {c.gens} vs {gens}")
+        return c
 
     coeffs = [as_poly(c) for c in modulus]
     n = len(coeffs) - 1
@@ -944,23 +953,19 @@ def algebra_from_modulus(generators, modulus, counit,
     if len(counit_vec) != n:
         raise ValueError(f"counit must have length {n}")
 
-    zero, one = MultiPoly.zero(gens), MultiPoly.one(gens)
-    powers = []
-    for k in range(n):
-        powers.append([one if i == k else zero for i in range(n)])
-    for k in range(n, 2 * n - 1):
-        prev = powers[k - 1]
-        overflow = prev[-1]
-        shifted = [zero] + prev[:-1]
-        powers.append([shifted[i] - overflow * coeffs[i] for i in range(n)])
+    # times_x multiplies by X, its top column reducing X^n by the modulus.
+    one = MultiPoly.one(gens)
+    times_x = {i: {i + 1: one} for i in range(n - 1)}
+    times_x[n - 1] = {i: -c for i, c in enumerate(coeffs[:-1]) if c}
+    powers = [{0: one}]
+    for _ in range(2 * n - 2):
+        powers.append(_push(times_x, powers[-1].items()))
+    x = _push(times_x, [(0, one)])
 
-    mult_rows = [[powers[i + j] for j in range(n)] for i in range(n)]
     labels = ["1"] + [symbol if k == 1 else f"{symbol}^{k}" for k in range(1, n)]
-    if n >= 2:
-        symbols = {symbol: powers[1]}
-    else:
-        symbols = {symbol: [-coeffs[0]]}
-    return FrobeniusAlgebra(gens, labels, mult_rows, counit_vec, symbols=symbols)
+    mul_cols = {i * n + j: powers[i + j] for i in range(n) for j in range(n)}
+    symbols = {symbol: [x.get(i, MultiPoly.zero(gens)) for i in range(n)]}
+    return FrobeniusAlgebra(gens, labels, mul_cols, counit_vec, symbols=symbols)
 
 
 def truncated_algebra(n: int, generators=()) -> FrobeniusAlgebra:

@@ -112,21 +112,13 @@ class GroupRingAlgebra(FrobeniusAlgebra):
         n = group.size
         zero, one = MultiPoly.zero(gens), MultiPoly.one(gens)
         labels = [_element_label(group, i) for i in range(n)]
-
-        def unit_vector(k):
-            return [one if a == k else zero for a in range(n)]
-
-        mult_rows = [
-            [unit_vector(group.add(i, j)) for j in range(n)]
-            for i in range(n)
-        ]
+        mul_cols = {i * n + j: {group.add(i, j): one}
+                    for i in range(n) for j in range(n)}
         counit_vec = [one] + [zero] * (n - 1)
-        symbols = {}
-        for f in range(len(group.orders)):
-            residues = [0] * len(group.orders)
-            residues[f] = 1
-            symbols[_GENERATOR_NAMES[f]] = unit_vector(group.index(residues))
-        super().__init__(gens, labels, mult_rows, counit_vec, symbols=symbols)
+        # The generator of a cyclic factor has that factor's stride as index.
+        symbols = {name: [one if a == stride else zero for a in range(n)]
+                   for name, stride in zip(_GENERATOR_NAMES, group._strides)}
+        super().__init__(gens, labels, mul_cols, counit_vec, symbols=symbols)
         for i in range(n):
             if self.dual_map.cols.get(i) != {group.inverse(i): one}:
                 raise AssertionError(

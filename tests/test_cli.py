@@ -415,6 +415,63 @@ class TestConfig:
                              "--theta", str(theta), "--suite", "jacobi,antisym")
         assert code == 0
 
+    # Each of these once ran: an object was read key by key, one character
+    # per index, and a float index was truncated.
+    BAD_THETA_ENTRIES = [
+        {"0121": 5},
+        [[0.9, 1, 2, "1"]],
+        [["0", 1, 2, "1"]],
+        [[True, 1, 2, "1"]],
+        [[0, 1, 2, 1.5]],
+        [[0, 1, 2, None]],
+        [[0, 1, 2]],
+        [[0, 1, 2, "1", 5]],
+        [(0, 1, 2)],
+        "0121",
+        5,
+    ]
+
+    @pytest.mark.parametrize("entries", BAD_THETA_ENTRIES)
+    def test_theta_file_entries_are_validated(self, capsys, tmp_path, entries):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"entries": entries}))
+        for command in ("laws", "eval"):
+            extra = ["--expr", "id"] if command == "eval" else []
+            code, out, err = run(capsys, command, "--algebra", "mv",
+                                 "--theta", str(theta), *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: bad theta entries: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entries", BAD_THETA_ENTRIES)
+    def test_config_theta_entries_are_validated(self, capsys, tmp_path,
+                                                entries):
+        config = tmp_path / "alg.json"
+        config.write_text(json.dumps({
+            "generators": [], "modulus": ["0", "0", "1"], "counit": ["0", "1"],
+            "theta": entries,
+        }))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "config", "--suite", "antisym")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad theta entries: ")
+        assert err.count("\n") == 1
+
+    def test_theta_entry_values_and_indices(self, capsys, tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({
+            "entries": [[0, 1, 2, 1], [0, 2, 1, "-1"]],
+        }))
+        code, out, err = run(capsys, "laws", "--algebra", "mv",
+                             "--theta", str(theta), "--suite", "jacobi,antisym")
+        assert (code, err) == (0, "")
+        theta.write_text(json.dumps({"entries": [[0, 1, 3, "1"]]}))
+        code, out, err = run(capsys, "laws", "--algebra", "mv",
+                             "--theta", str(theta), "--suite", "antisym")
+        assert (code, out) == (2, "")
+        assert err == "error: bad theta entries: index out of range in " \
+            "(0, 1, 3) for rank 3\n"
+
     def test_missing_field(self, capsys, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"generators": []}))

@@ -33,6 +33,15 @@ def mv_poly(src):
     return parse_poly(src, MV_GENS)
 
 
+def table_cols(table):
+    """The product columns {i*n + j: {k: c}} of an integer table over Z,
+    where table[i][j] lists the coefficients of e_i e_j."""
+    n = len(table)
+    return {i * n + j: {k: MultiPoly.const((), c)
+                        for k, c in enumerate(table[i][j]) if c}
+            for i in range(n) for j in range(n)}
+
+
 def reduce_power(k):
     """Independent oracle: X^k mod (X^3 - a X^2 - b X - c), as a length-3
     coefficient vector, computed by repeated shift-and-substitute."""
@@ -76,13 +85,39 @@ class TestConstruction:
         with pytest.raises(DegenerateFormError, match="det"):
             algebra_from_modulus((), [0, 0, 1], [0, 2])
 
+    def test_product_columns_are_checked(self):
+        # Z[X]/(X^2), whose product columns are e0 e0 = e0, e0 e1 = e1 e0
+        # = e1 and e1 e1 = 0.
+        one = MultiPoly.one(())
+        cols = {0: {0: one}, 1: {1: one}, 2: {1: one}}
+        A = FrobeniusAlgebra((), ["1", "X"], cols, [0, 1])
+        assert A.mul_basis(1, 0) == A.basis_element(1)
+        assert A.mul_basis(1, 1) == A.zero
+        foreign = {**cols, 3: {0: MultiPoly.gen(("a",), "a")}}
+        with pytest.raises(ValueError, match=r"generator mismatch: \('a',\) "
+                                             r"vs \(\)"):
+            FrobeniusAlgebra((), ["1", "X"], foreign, [0, 1])
+        for bad in ({**cols, 4: {0: one}}, {**cols, -1: {0: one}},
+                    {**cols, 3: {2: one}}, {**cols, 3: {-1: one}}):
+            with pytest.raises(ValueError, match="entry index out of range"):
+                FrobeniusAlgebra((), ["1", "X"], bad, [0, 1])
+
+    @pytest.mark.parametrize("modulus", [["a", 0, 1], [0, "a", 1], ["a", 1]])
+    def test_modulus_over_another_ring_rejected(self, modulus):
+        # The modulus reaches the product only through `_push`, which
+        # trusts its callers to share one ring.
+        a = MultiPoly.gen(("a",), "a")
+        modulus = [a if c == "a" else c for c in modulus]
+        with pytest.raises(ValueError, match="generator mismatch"):
+            algebra_from_modulus((), modulus, [0] * (len(modulus) - 2) + [1])
+
     def test_non_associative_table_rejected(self):
         # basis 1, x, y with x*x = y, x*y = 0, y*y = x: (x*x)*y = x but
         # x*(x*y) = 0, and (1, 1, 2) is the first failing triple.
         one, x, y, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
         table = [[one, x, y], [x, y, z], [y, z, x]]
         with pytest.raises(ValueError, match=r"not associative at \(1, 1, 2\)"):
-            FrobeniusAlgebra((), ["1", "x", "y"], table, [0, 0, 1])
+            FrobeniusAlgebra((), ["1", "x", "y"], table_cols(table), [0, 0, 1])
 
     @pytest.mark.parametrize("symbols, triple", [
         # u = 1 passes every (i, u, k) triple but reaches only e_0, so the
@@ -95,8 +130,8 @@ class TestConstruction:
         one, x, y, z = [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]
         table = [[one, x, y], [x, y, z], [y, z, x]]
         with pytest.raises(ValueError, match=rf"not associative at \({triple}\)"):
-            FrobeniusAlgebra((), ["1", "x", "y"], table, [0, 0, 1],
-                             symbols=symbols)
+            FrobeniusAlgebra((), ["1", "x", "y"], table_cols(table),
+                             [0, 0, 1], symbols=symbols)
 
 
 @st.composite
@@ -155,7 +190,8 @@ class TestLightsTest:
         n = len(table)
         labels = ["1"] + [f"e{i}" for i in range(1, n)]
         try:
-            FrobeniusAlgebra((), labels, table, [0] * (n - 1) + [1],
+            FrobeniusAlgebra((), labels, table_cols(table),
+                             [0] * (n - 1) + [1],
                              symbols=symbols if named else None)
             message = None
         except DegenerateFormError:

@@ -140,8 +140,9 @@ class TestDeltaOneResolution:
         assert check_delta_one_resolution(truncated_algebra(n)).passed
 
     def test_rank_one(self):
+        from foamalg.coeffring import MultiPoly
         from foamalg.frobalg import FrobeniusAlgebra
-        A = FrobeniusAlgebra((), ["1"], [[[1]]], [1])
+        A = FrobeniusAlgebra((), ["1"], {0: {0: MultiPoly.one(())}}, [1])
         assert check_delta_one_resolution(A).passed
 
 

@@ -1,10 +1,10 @@
-"""sympy as an independent oracle for the Gram matrix, its determinant and
-inverse, the dual basis and the handle scalar of quotient algebras
-Z[g...][X]/(m).  Skipped when sympy is not installed; it is a test-only
+"""sympy as an independent oracle for the product, the Gram matrix, its
+determinant and inverse, the dual basis and the handle scalar of quotient
+algebras Z[g...][X]/(m).  Skipped when sympy is not installed; it is a test-only
 dependency."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foamalg.coeffring import MultiPoly
 from foamalg.frobalg import algebra_from_modulus
@@ -112,3 +112,34 @@ def test_gram_inverse_dual_basis_and_handle(gens, data):
                               for i in range(n) for j in range(n)))
     assert handle == n
     assert to_sympy(A.handle_scalar(), symbols) == handle
+
+
+def coefficients(expr, n):
+    """The coefficients of X^0, ..., X^(n-1) in a polynomial in X."""
+    expr = sympy.expand(expr)
+    return [sympy.expand(expr.coeff(X, d)) for d in range(n)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(list(RINGS)).flatmap(
+    lambda gens: st.tuples(st.just(gens), algebras(gens))))
+# Rank 1: Z[X]/(X + 3), where the symbol X is -m(0) = -3.
+@example(case=((), ([sympy.Integer(3), sympy.Integer(1)], [sympy.Integer(1)])))
+def test_product_is_reduction_by_the_modulus(case):
+    """mul_basis(i, j) holds the coefficients of rem(X^(i+j), m), and the
+    symbol X those of rem(X, m)."""
+    gens, (modulus, counit) = case
+    A = build(gens, modulus, counit)
+    symbols, n = RINGS[gens], A.rank
+    m = sum(c * X ** k for k, c in enumerate(modulus))
+
+    def reduced(k):
+        return coefficients(sympy.rem(X ** k, m, X), n)
+
+    def got(u):
+        return [to_sympy(c, symbols) for c in u.coeffs]
+
+    assert got(A.parse_element("X")) == reduced(1)
+    for i in range(n):
+        for j in range(n):
+            assert got(A.mul_basis(i, j)) == reduced(i + j)
