@@ -21,17 +21,17 @@ for u in range(3):
     print(f"   cocomul({A.basis_labels[u]})       =", ctx.cocomul(eu))
     print(f"   cocomul_skein({A.basis_labels[u]}) =", ctx.cocomul_skein(eu))
 
-m = ctx.linear_map("bracket")
+m = ctx.linear_map("bmul")
 mu = ctx.linear_map("mul")
-eps = ctx.linear_map("counit_map")
+eps = ctx.linear_map("counit")
 tau = ctx.linear_map("swap")
 id1 = LinearMap.identity(A.gens, 3, 1)
 id2 = LinearMap.identity(A.gens, 3, 2)
-E = (mu >> eps) >> ctx.linear_map("delta_one_map")
+E = (mu >> eps) >> ctx.linear_map("delta_one")
 
 print()
 print("With F = (bracket ⊗ id)(id ⊗ cocomul_skein):")
-D = ctx.linear_map("cocomul_skein")
+D = ctx.linear_map("bcomul_skein")
 F = (id1 @ D) >> (m @ id1)
 print("   F == E - swap          :", F == E - tau)
 print("   F >> F == id + E       :", F >> F == id2 + E)
@@ -39,7 +39,7 @@ print("   cocomul_skein >> bracket == 2 id  :", D >> m == 2 * id1)
 
 print()
 print("Under the plain cocomul legs every identity flips sign:")
-Dl = ctx.linear_map("cocomul")
+Dl = ctx.linear_map("bcomul")
 Fl = (id1 @ Dl) >> (m @ id1)
 print("   F == swap - E          :", Fl == tau - E)
 print("   F >> F == id + E       :", Fl >> Fl == id2 + E, " (squares agree)")

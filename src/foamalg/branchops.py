@@ -16,6 +16,8 @@ skein identities; the law suite reports each separately.
 
 Each operation is a `LinearMap` (defined in `frobalg`, re-exported here),
 the same sparse column store as the algebra's own structure maps.
+`GENERATORS` is the one table of the diagram language's generators: each
+name with the map it stands for and its arity.
 """
 
 from __future__ import annotations
@@ -114,31 +116,38 @@ class BranchContext:
         }
         return LinearMap(A.gens, n, 1, 1, cols)
 
-    def linear_map(self, which: str) -> LinearMap:
-        """Exact matrix of a named generator map.
-
-        Names: bracket, cocomul, cocomul_skein, theta, mul, comul,
-        counit_map, unit_map, swap, identity, delta_one_map.
-        """
-        path = _LINEAR_MAPS.get(which)
-        if path is None:
-            raise ValueError(f"unknown linear map name {which!r}")
-        return attrgetter(path)(self)
+    def linear_map(self, name: str) -> LinearMap:
+        """Exact matrix of the generator `name` of `GENERATORS`, a name of
+        the diagram language.  Raises ValueError on an unknown name, and on
+        `aug` or `diag` off a group ring."""
+        if name not in GENERATORS:
+            raise ValueError(f"unknown linear map name {name!r}")
+        head, _, attr = GENERATORS[name][0].rpartition(".")
+        owner = attrgetter(head)(self) if head else self
+        # A map is a cached property of the class or set by the constructor.
+        if not hasattr(type(owner), attr) and attr not in vars(owner):
+            raise ValueError(f"generator {name!r} needs a group ring algebra")
+        return getattr(owner, attr)
 
     def __repr__(self):
         return f"BranchContext({self.algebra!r}, {self.theta!r})"
 
 
-_LINEAR_MAPS = {
-    "identity": "algebra.identity_map",
-    "swap": "algebra.swap_map",
-    "mul": "algebra.mul_map",
-    "comul": "algebra.comul_map",
-    "counit_map": "algebra.counit_map",
-    "unit_map": "algebra.unit_map",
-    "delta_one_map": "algebra.delta_one_map",
-    "bracket": "bracket_map",
-    "cocomul": "cocomul_map",
-    "cocomul_skein": "cocomul_skein_map",
-    "theta": "theta_map",
+# The generators of the diagram language: name -> (path of the map from a
+# BranchContext, inputs, outputs).  `aug` and `diag`, the augmentation and
+# the diagonal, are maps of a group ring only.
+GENERATORS = {
+    "id": ("algebra.identity_map", 1, 1),
+    "swap": ("algebra.swap_map", 2, 2),
+    "mul": ("algebra.mul_map", 2, 1),
+    "comul": ("algebra.comul_map", 1, 2),
+    "unit": ("algebra.unit_map", 0, 1),
+    "counit": ("algebra.counit_map", 1, 0),
+    "bmul": ("bracket_map", 2, 1),
+    "bcomul": ("cocomul_map", 1, 2),
+    "bcomul_skein": ("cocomul_skein_map", 1, 2),
+    "theta": ("theta_map", 3, 0),
+    "delta_one": ("algebra.delta_one_map", 0, 2),
+    "aug": ("algebra.augmentation_map", 1, 0),
+    "diag": ("algebra.diagonal_map", 1, 2),
 }

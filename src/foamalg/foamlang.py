@@ -6,17 +6,20 @@ Grammar (composition reads bottom to top):
     term   = factor { "*" factor }      side-by-side tensor
     factor = generator | "label" "(" elem ")" | "(" expr ")"
 
-Generators, with (inputs, outputs):
+Generators, with (inputs, outputs), are those of `branchops.GENERATORS`:
 
     id (1,1)   swap (2,2)   mul (2,1)    comul (1,2)   unit (0,1)
     counit (1,0)   bmul (2,1)   bcomul (1,2)   bcomul_skein (1,2)
-    theta (3,0)   delta_one (0,2)   label(elem) (1,1)
+    theta (3,0)   delta_one (0,2)   aug (1,0)   diag (1,2)
 
-`theta` is the theta foam, the table as a 3 -> 0 map; `delta_one` is the
-neck, sum_i y_i (x) e_i.  `label(elem)` multiplies by a fixed algebra
-element; `elem` uses the polynomial syntax extended with the algebra's basis
-symbols (X^k powers, or group generator names).  `Compiler.side` compiles
-the law suite's signed sums of diagrams on the same column sources.
+and `label(elem)` (1,1).  `theta` is the theta foam, the table as a 3 -> 0
+map; `delta_one` is the neck, sum_i y_i (x) e_i.  `aug` and `diag`, the
+augmentation and the diagonal g -> g (x) g, exist on group rings only; any
+algebra parses and typechecks them, and compiling them elsewhere raises
+ValueError.  `label(elem)` multiplies by a fixed algebra element; `elem`
+uses the polynomial syntax extended with the algebra's basis symbols (X^k
+powers, or group generator names).  `Compiler.side` compiles the law
+suite's signed sums of diagrams on the same column sources.
 """
 
 from __future__ import annotations
@@ -25,25 +28,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
 
-from .branchops import BranchContext, LinearMap
+from .branchops import GENERATORS, BranchContext, LinearMap
 from .frobalg import _Kron, _column, _push
 from .coeffring import MAX_EXPONENT, MultiPoly, name_degrees
 
 
-GENERATOR_ARITIES = {
-    "id": (1, 1),
-    "swap": (2, 2),
-    "mul": (2, 1),
-    "comul": (1, 2),
-    "unit": (0, 1),
-    "counit": (1, 0),
-    "bmul": (2, 1),
-    "bcomul": (1, 2),
-    "bcomul_skein": (1, 2),
-    "theta": (3, 0),
-    "delta_one": (0, 2),
-    "label": (1, 1),
-}
+GENERATOR_ARITIES = {name: (ins, outs)
+                     for name, (_, ins, outs) in GENERATORS.items()}
+GENERATOR_ARITIES["label"] = (1, 1)
 
 
 class ParseError(Exception):
@@ -170,15 +162,14 @@ def _lex(src: str):
 MAX_NESTING = 100
 
 
-def parse(src: str, arities=GENERATOR_ARITIES) -> DiagramExpr:
-    """Parse diagram source into an AST, over the generators named in
-    `arities`.
+def parse(src: str) -> DiagramExpr:
+    """Parse diagram source into an AST.
 
     Raises ParseError with the exact (line, column) on malformed input,
     including parentheses nested deeper than MAX_NESTING.
     """
     tokens = _lex(src)
-    expected = sorted(set(arities) - {"label"}) + ["label(...)", "("]
+    expected = sorted(GENERATORS) + ["label(...)", "("]
     pos = 0
     depth = 0
 
@@ -196,7 +187,7 @@ def parse(src: str, arities=GENERATOR_ARITIES) -> DiagramExpr:
         kind, text, at = peek()
         if kind == "NAME":
             advance()
-            if text not in arities or text == "label":
+            if text not in GENERATORS:
                 raise ParseError(f"unknown generator {text!r}", at,
                                  expected=expected)
             return Generator(text, pos=at)
@@ -269,22 +260,22 @@ def pretty(e: DiagramExpr) -> str:
     raise TypeError(f"not a diagram expression: {e!r}")
 
 
-def typecheck(e: DiagramExpr, arities=GENERATOR_ARITIES) -> tuple[int, int]:
-    """Return (in_arity, out_arity) over the generators named in `arities`;
-    raise ArityError if composition breaks."""
+def typecheck(e: DiagramExpr) -> tuple[int, int]:
+    """Return (in_arity, out_arity); raise ArityError if composition
+    breaks."""
     if isinstance(e, Generator):
-        return arities[e.name]
+        return GENERATOR_ARITIES[e.name]
     if isinstance(e, Tensor):
         ins, outs = 0, 0
         for p in e.parts:
-            i, o = typecheck(p, arities)
+            i, o = typecheck(p)
             ins += i
             outs += o
         return ins, outs
     if isinstance(e, Compose):
-        first_in, prev_out = typecheck(e.parts[0], arities)
+        first_in, prev_out = typecheck(e.parts[0])
         for p in e.parts[1:]:
-            i, o = typecheck(p, arities)
+            i, o = typecheck(p)
             if i != prev_out:
                 raise ArityError(
                     f"arity mismatch in composition: previous output {prev_out} "
@@ -293,21 +284,6 @@ def typecheck(e: DiagramExpr, arities=GENERATOR_ARITIES) -> tuple[int, int]:
             prev_out = o
         return first_in, prev_out
     raise TypeError(f"not a diagram expression: {e!r}")
-
-
-_GENERATOR_MAPS = {
-    "id": "identity",
-    "swap": "swap",
-    "mul": "mul",
-    "comul": "comul",
-    "unit": "unit_map",
-    "counit": "counit_map",
-    "bmul": "bracket",
-    "bcomul": "cocomul",
-    "bcomul_skein": "cocomul_skein",
-    "theta": "theta",
-    "delta_one": "delta_one_map",
-}
 
 
 def _check_label_degrees(e: DiagramExpr) -> None:
@@ -383,21 +359,19 @@ def _stage(factors: list):
     return factors[0].cols if len(factors) == 1 else _Kron(*factors)
 
 
-def _full(factors: list) -> bool:
-    """Whether the Kronecker product of `factors` can be nonzero on every
-    input column."""
-    return all(f.full() if isinstance(f, _Chain)
-               else len(f.cols) == f.n ** f.in_order for f in factors)
-
-
 def _support(factors: list):
     """The input columns where the Kronecker product of `factors` can be
-    nonzero: the products of a map's stored columns and a chain's first
-    stage's."""
+    nonzero, or None when every one can: the products of a map's stored
+    columns and a chain's first stage's."""
+    supports = [f.support() if isinstance(f, _Chain)
+                else None if len(f.cols) == f.n ** f.in_order
+                else f.cols.keys() for f in factors]
+    if all(keys is None for keys in supports):
+        return None
     out = None
-    for f in factors:
+    for f, keys in zip(factors, supports):
         width = f.n ** f.in_order
-        keys = f.support() if isinstance(f, _Chain) else f.cols.keys()
+        keys = range(width) if keys is None else keys
         out = keys if out is None else {a * width + b for a in out
                                         for b in keys}
     return out
@@ -416,9 +390,6 @@ class _Chain:
         self.out_order = sum(f.out_order for f in parts[-1])
         self.cols = _Made(partial(_column, list(map(_stage, parts))))
         self.first = parts[0]
-
-    def full(self) -> bool:
-        return _full(self.first)
 
     def support(self):
         return _support(self.first)
@@ -442,8 +413,8 @@ def _permuter(perm: tuple, n: int):
 
 class Side:
     """A signed sum of compiled diagrams as a column source: `get(c)` is
-    column c, `full()` whether every column can be nonzero, `support()` the
-    set (or a dict's keys) of those that can, and `outputs` the diagrams'
+    column c, `support()` the set (or a dict's keys) of the columns that can
+    be nonzero, or None when every one can, and `outputs` the diagrams'
     outputs before any transpose.  A term is (coefficient, column function
     giving dicts, factors, the map of the factors' columns to the side's or
     None)."""
@@ -459,26 +430,23 @@ class Side:
             self.get = lambda c: _push(
                 {k: f(c) for k, f in enumerate(fetches)}, weights)
 
-    def full(self) -> bool:
-        return any(_full(factors) for _, _, factors, _ in self.terms)
-
     def support(self):
         if len(self.terms) == 1 and self.terms[0][3] is None:
             return _support(self.terms[0][2])
         out = set()
         for _, _, factors, back in self.terms:
             keys = _support(factors)
+            if keys is None:
+                return None
             out.update(keys if back is None else map(back, keys))
         return out
 
 
 @lru_cache(maxsize=256)
-def _parsed(text: str, extra: tuple):
-    """(tree, arity, source) of a diagram, parsed once; `extra` holds the
-    (name, arity) pairs of the maps beyond the generators."""
-    arities = {**GENERATOR_ARITIES, **dict(extra)}
-    tree = parse(text, arities)
-    return tree, typecheck(tree, arities), pretty(tree)
+def _parsed(text: str):
+    """(tree, arity, source) of a diagram, parsed once."""
+    tree = parse(text)
+    return tree, typecheck(tree), pretty(tree)
 
 
 class Compiler:
@@ -486,15 +454,13 @@ class Compiler:
 
     Identical subtrees are compiled once, keyed by their source text, so
     their columns are made once however often they are read; `mul ; counit`
-    is the stored pairing.  `maps` names maps beyond the generators.  With
-    `transpose`, every diagram compiles to its transpose: each `;`
-    reversed, each `*` kept in order, each generator transposed.
+    is the stored pairing.  With `transpose`, every diagram compiles to
+    its transpose: each `;` reversed, each `*` kept in order, each
+    generator transposed.
     """
 
-    def __init__(self, ctx: BranchContext, maps=None, transpose=False):
-        self.ctx, self.maps, self.transpose = ctx, maps or {}, transpose
-        self.extra = tuple((k, (m.in_order, m.out_order))
-                           for k, m in self.maps.items())
+    def __init__(self, ctx: BranchContext, transpose=False):
+        self.ctx, self.transpose = ctx, transpose
         pairing = ctx.algebra.pairing_map
         self.memo = {"mul ; counit": [pairing.transpose() if transpose
                                       else pairing]}
@@ -517,8 +483,7 @@ class Compiler:
         if node.name == "label":
             m = ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
         else:
-            m = self.maps.get(node.name) or \
-                ctx.linear_map(_GENERATOR_MAPS[node.name])
+            m = ctx.linear_map(node.name)
         # id and swap are their own transposes.
         if self.transpose and node.name not in ("id", "swap"):
             return m.transpose()
@@ -529,7 +494,7 @@ class Compiler:
         (a_k, P_k or None, source of d_k): d_k takes the input legs x in
         the order P_k.  A diagram that only one term reads does not keep
         its columns, since the walk reads each once."""
-        parsed = [_parsed(text, self.extra) for _, _, text in terms]
+        parsed = [_parsed(text) for _, _, text in terms]
         keys = [key for _, _, key in parsed]
         n, out = self.ctx.algebra.rank, []
         for (a, perm, _), (tree, _, key) in zip(terms, parsed):

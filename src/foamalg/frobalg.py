@@ -926,8 +926,7 @@ class FrobeniusAlgebra:
 # -- constructors from quotient polynomial rings -------------------------------
 
 
-def algebra_from_modulus(generators, modulus, counit,
-                         symbol: str = "X") -> FrobeniusAlgebra:
+def algebra_from_modulus(generators, modulus, counit) -> FrobeniusAlgebra:
     """Quotient algebra R[X]/(m(X)) with basis 1, X, ..., X^(n-1).
 
     `modulus` lists the coefficients of the monic modulus, lowest degree
@@ -962,20 +961,17 @@ def algebra_from_modulus(generators, modulus, counit,
         powers.append(_push(times_x, powers[-1].items()))
     x = _push(times_x, [(0, one)])
 
-    labels = ["1"] + [symbol if k == 1 else f"{symbol}^{k}" for k in range(1, n)]
+    labels = ["1"] + ["X" if k == 1 else f"X^{k}" for k in range(1, n)]
     mul_cols = {i * n + j: powers[i + j] for i in range(n) for j in range(n)}
-    symbols = {symbol: [x.get(i, MultiPoly.zero(gens)) for i in range(n)]}
+    symbols = {"X": [x.get(i, MultiPoly.zero(gens)) for i in range(n)]}
     return FrobeniusAlgebra(gens, labels, mul_cols, counit_vec, symbols=symbols)
 
 
-def truncated_algebra(n: int, generators=()) -> FrobeniusAlgebra:
-    """R[X]/(X^n) with the form picking out the coefficient of X^(n-1)."""
+def truncated_algebra(n: int) -> FrobeniusAlgebra:
+    """Z[X]/(X^n) with the form picking out the coefficient of X^(n-1)."""
     if n < 2:
         raise ValueError("truncated algebra needs degree at least 2")
-    gens = tuple(generators)
-    modulus = [0] * n + [1]
-    counit = [0] * (n - 1) + [1]
-    return algebra_from_modulus(gens, modulus, counit)
+    return algebra_from_modulus((), [0] * n + [1], [0] * (n - 1) + [1])
 
 
 def mv_algebra() -> FrobeniusAlgebra:

@@ -9,6 +9,9 @@ and the resulting bialgebra checks live here.
 
 from __future__ import annotations
 
+from functools import cached_property
+from math import gcd, lcm
+
 from .branchops import BranchContext
 from .coeffring import MultiPoly
 from .foamlang import Compiler
@@ -62,35 +65,23 @@ class FiniteAbelianGroup:
         return tuple(out)
 
     def add(self, i: int, j: int) -> int:
-        a, b = self.residues(i), self.residues(j)
-        return self.index(x + y for x, y in zip(a, b))
+        """The index of the sum, added residue by residue on the indices."""
+        return sum((i // s + j // s) % o * s
+                   for o, s in zip(self.orders, self._strides))
 
     def inverse(self, i: int) -> int:
         return self.index(-r for r in self.residues(i))
 
     def element_order(self, i: int) -> int:
-        order = 1
-        for r, o in zip(self.residues(i), self.orders):
-            if r:
-                g = o // _gcd(r, o)
-                order = order * g // _gcd(order, g)
-        return order
+        return lcm(*(o // gcd(r, o)
+                     for r, o in zip(self.residues(i), self.orders)))
 
     def has_exponent_two(self) -> bool:
         """True iff every non-identity element has order 2."""
         return all(o == 2 for o in self.orders)
 
-    def elements(self):
-        return range(self.size)
-
     def __repr__(self):
         return f"FiniteAbelianGroup(orders={list(self.orders)})"
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _element_label(group: FiniteAbelianGroup, index: int) -> str:
@@ -124,6 +115,20 @@ class GroupRingAlgebra(FrobeniusAlgebra):
                 raise AssertionError(
                     f"dual basis of element {labels[i]} is not its inverse"
                 )
+
+    @cached_property
+    def augmentation_map(self) -> LinearMap:
+        """The counit of the group bialgebra: every group element to 1."""
+        one = MultiPoly.one(self.gens)
+        return LinearMap(self.gens, self.rank, 1, 0,
+                         {g: {0: one} for g in range(self.rank)})
+
+    @cached_property
+    def diagonal_map(self) -> LinearMap:
+        """The diagonal comultiplication g -> g (x) g."""
+        n, one = self.rank, MultiPoly.one(self.gens)
+        return LinearMap(self.gens, n, 1, 2, {g: {g * n + g: one}
+                                              for g in range(n)})
 
 
 def group_ring(orders, generators=()) -> GroupRingAlgebra:
@@ -170,18 +175,13 @@ def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
 
 def check_bialgebra(A: GroupRingAlgebra, ctx: BranchContext) -> LawReport:
     """Verify the branch co-operation gives a bialgebra on the group ring:
-    the laws of `lawsuite.LAWS` that cocomul equals the diagonal `diag`,
-    g -> g (x) g; then compatibility with mul on all basis pairs; then the
-    counit laws for the augmentation `aug`, sending every group element to
-    1, left and right taking turns on each basis element."""
+    the laws of `lawsuite.LAWS` that cocomul equals the diagonal `diag`;
+    then compatibility with mul on all basis pairs; then the counit laws
+    for the augmentation `aug`, left and right taking turns on each basis
+    element."""
     if ctx.algebra is not A:
         raise ValueError("context was not built from the given algebra")
-    n, one = A.rank, MultiPoly.one(A.gens)
-    compiler = Compiler(ctx, {
-        "aug": LinearMap(A.gens, n, 1, 0, {g: {0: one} for g in range(n)}),
-        "diag": LinearMap(A.gens, n, 1, 2, {g: {g * n + g: one}
-                                            for g in range(n)}),
-    })
+    compiler = Compiler(ctx)
     cases = 0
     for names in (("cocomul equals diagonal",), ("compatibility",),
                   ("counit law (left)", "counit law (right)")):

@@ -126,15 +126,15 @@ def _columns(pairs, count: int):
     come first in any case, so a law failing there computes no support."""
     def parts():
         k = len(pairs)
-        if any(side.full() for pair in pairs for side in pair):
-            yield range(count)
-            return
         head = min(k * _HEAD, count)
         yield range(head)
         support = set()
         for t, pair in enumerate(pairs):
             for side in pair:
                 keys = side.support()
+                if keys is None:
+                    yield range(head, count)
+                    return
                 support.update(keys if k == 1 else (c * k + t for c in keys))
         support.difference_update(range(head))
         yield sorted(support)

@@ -126,14 +126,14 @@ def test_criterion_05_handle_scalars(mv_ctx):
 def test_criterion_06a_skein_identities_skein_variant(mv_ctx):
     A = mv_ctx.algebra
     gens = A.gens
-    m = mv_ctx.linear_map("bracket")
-    D = mv_ctx.linear_map("cocomul_skein")
+    m = mv_ctx.linear_map("bmul")
+    D = mv_ctx.linear_map("bcomul_skein")
     mu = mv_ctx.linear_map("mul")
-    eps = mv_ctx.linear_map("counit_map")
+    eps = mv_ctx.linear_map("counit")
     tau = mv_ctx.linear_map("swap")
     id1 = LinearMap.identity(gens, 3, 1)
     id2 = LinearMap.identity(gens, 3, 2)
-    E = (mu >> eps) >> mv_ctx.linear_map("delta_one_map")
+    E = (mu >> eps) >> mv_ctx.linear_map("delta_one")
     F = (id1 @ D) >> (m @ id1)
     assert F == E - tau                       # identity (1), 9x9 exact
     assert F >> F == id2 + E                  # identity (2), 9x9 exact
@@ -189,8 +189,8 @@ def test_criterion_06c_pointwise_kernel_identity_computed_form(mv_ctx):
 
 
 def test_criterion_06d_plain_cocomul_sign_recorded(mv_ctx):
-    m = mv_ctx.linear_map("bracket")
-    D = mv_ctx.linear_map("cocomul")
+    m = mv_ctx.linear_map("bmul")
+    D = mv_ctx.linear_map("bcomul")
     id1 = LinearMap.identity(mv_ctx.algebra.gens, 3, 1)
     assert D >> m == (-2) * id1
     reports = {(r.law, r.variant): r for r in check_skein_identities(mv_ctx)}

@@ -1,9 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from foamalg.branchops import BranchContext, LinearMap
+from foamalg import cli
+from foamalg.branchops import GENERATORS, BranchContext, LinearMap
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import mv_algebra, truncated_algebra
+from foamalg.groupfoam import GroupRingAlgebra
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
 
@@ -164,12 +168,12 @@ class TestLinearMaps:
         assert swap >> swap == LinearMap.identity((), 3, 2)
 
     def test_identity(self, mv_ctx):
-        ident = mv_ctx.linear_map("identity")
+        ident = mv_ctx.linear_map("id")
         assert ident == LinearMap.identity(mv_ctx.algebra.gens, 3, 1)
 
     def test_bracket_matrix_consistency(self, mv_ctx):
         A = mv_ctx.algebra
-        m = mv_ctx.linear_map("bracket")
+        m = mv_ctx.linear_map("bmul")
         for i in range(3):
             for j in range(3):
                 image = m.apply(A.tensor(A.basis_element(i), A.basis_element(j)))
@@ -192,7 +196,7 @@ class TestLinearMaps:
             assert A.element(coeffs) == expected
 
     def test_kron_against_direct(self, lie3_ctx):
-        ident = lie3_ctx.linear_map("identity")
+        ident = lie3_ctx.linear_map("id")
         mu = lie3_ctx.linear_map("mul")
         both = mu @ ident
         assert both.in_order == 3 and both.out_order == 2
@@ -209,6 +213,31 @@ class TestLinearMaps:
     def test_unknown_name(self, lie3_ctx):
         with pytest.raises(ValueError, match="unknown linear map"):
             lie3_ctx.linear_map("frobnicate")
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("algebra,theta", [
+        ("mv", "mv"), ("aN:5", "lie"), ("group:2,2", "group"),
+        ("config", "config")])
+    def test_names_resolve_to_their_arity(self, tmp_path, algebra, theta):
+        """Each name of `GENERATORS` is a map of the arity the table states;
+        `aug` and `diag` exist on group rings only."""
+        if algebra == "config":
+            algebra = str(tmp_path / "alg.json")
+            (tmp_path / "alg.json").write_text(json.dumps({
+                "generators": ["p", "q"], "modulus": ["-p", "q + 1", "0", "1"],
+                "counit": ["0", "0", "1"], "theta": [[0, 1, 2, "p"]]}))
+        A, config_theta = cli.build_algebra(algebra)
+        ctx = BranchContext(A, cli.build_theta(theta, A, config_theta))
+        group = isinstance(A, GroupRingAlgebra)
+        for name, (_, ins, outs) in GENERATORS.items():
+            if name in ("aug", "diag") and not group:
+                with pytest.raises(ValueError, match=(
+                        f"generator '{name}' needs a group ring algebra")):
+                    ctx.linear_map(name)
+                continue
+            m = ctx.linear_map(name)
+            assert (m.n, m.in_order, m.out_order) == (A.rank, ins, outs)
 
 
 class TestRingCoercion:

@@ -293,6 +293,20 @@ class TestEval:
             assert code == expected
         assert out == "" and err.startswith("error: diagram too large")
 
+    def test_group_ring_generators(self, capsys):
+        """The counit law through `eval`: `bcomul ; (aug * id)` is `id` on
+        a group ring."""
+        group = ("eval", "--algebra", "group:2,2", "--theta", "group")
+        code, out, err = run(capsys, *group, "--expr", "bcomul ; (aug * id)")
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *group, "--expr", "id")
+
+    def test_group_ring_generator_off_a_group_ring(self, capsys):
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta",
+                             "mv", "--expr", "aug")
+        assert (code, out) == (2, "")
+        assert err == "error: generator 'aug' needs a group ring algebra\n"
+
     def test_json_closed(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
                              "--expr",

@@ -29,6 +29,12 @@ class TestGroup:
         orders = sorted(g.element_order(i) for i in range(g.size))
         assert orders == [1, 2, 3, 3, 6, 6]
 
+    def test_add_is_residue_wise(self):
+        g = FiniteAbelianGroup([2, 3, 4])
+        for i, j in itertools.product(range(g.size), repeat=2):
+            sums = (a + b for a, b in zip(g.residues(i), g.residues(j)))
+            assert g.add(i, j) == g.index(sums)
+
     def test_bad_orders(self):
         with pytest.raises(ValueError, match="at least 2"):
             FiniteAbelianGroup([2, 1])

@@ -178,15 +178,16 @@ def oracle_skein(ctx):
     n = A.rank
     gens = A.gens
     reports = []
-    m = ctx.linear_map("bracket")
+    m = ctx.linear_map("bmul")
     tau = ctx.linear_map("swap")
     id1 = LinearMap.identity(gens, n, 1)
     id2 = LinearMap.identity(gens, n, 2)
-    E = (ctx.linear_map("mul") >> ctx.linear_map("counit_map")) >> \
-        ctx.linear_map("delta_one_map")
-    for variant in ("cocomul_skein", "cocomul"):
+    E = (ctx.linear_map("mul") >> ctx.linear_map("counit")) >> \
+        ctx.linear_map("delta_one")
+    for variant, name in (("cocomul_skein", "bcomul_skein"),
+                          ("cocomul", "bcomul")):
         advisory = variant == "cocomul"
-        D = ctx.linear_map(variant)
+        D = ctx.linear_map(name)
         F = (id1 @ D) >> (m @ id1)
 
         cx = _matrix_counterexample(ctx, F, E - tau)

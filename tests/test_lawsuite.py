@@ -4,7 +4,7 @@ from foamalg.branchops import BranchContext
 from foamalg.frobalg import mv_algebra, truncated_algebra
 from foamalg.groupfoam import derive_bialgebra_theta, group_ring
 from foamalg import groupfoam, lawsuite
-from foamalg.foamlang import GENERATOR_ARITIES, parse, typecheck
+from foamalg.foamlang import parse, typecheck
 from foamalg.lawsuite import (
     LAWS,
     SUITE_NAMES,
@@ -225,19 +225,15 @@ class TestSuite:
 
 
 class TestLawTable:
-    EXTRA = {"aug": (1, 0), "diag": (1, 2)}
-
     @pytest.mark.parametrize("law", sorted(LAWS))
     def test_sides_are_well_typed(self, law):
         """Every diagram of a law takes its inputs and gives one number of
         outputs, for both conventions of the co-operation."""
-        arities = {**GENERATOR_ARITIES, **self.EXTRA}
         inputs, lhs, rhs = LAWS[law]
         for D in ("bcomul", "bcomul_skein"):
             outputs = set()
             for a, perm, text in lhs + rhs:
-                ins, outs = typecheck(parse(text.format(D=D), arities),
-                                      arities)
+                ins, outs = typecheck(parse(text.format(D=D)))
                 assert ins == inputs
                 assert perm is None or sorted(perm) == list(range(inputs))
                 outputs.add(outs)
