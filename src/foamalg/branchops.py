@@ -82,7 +82,12 @@ class BranchContext:
 
     @cached_property
     def cocomul_skein_map(self) -> LinearMap:
-        return self.cocomul_map >> self.algebra.swap_map
+        """`cocomul_map >> swap_map`, built as a relabelling of the rows of
+        `cocomul_map`: output (a, b), at row a*n + b, moves to row b*n + a."""
+        n = self.algebra.rank
+        return LinearMap(self.algebra.gens, n, 1, 2, {
+            u: {r % n * n + r // n: v for r, v in col.items()}
+            for u, col in self.cocomul_map.cols.items()})
 
     # -- operations ------------------------------------------------------------
 
@@ -108,13 +113,8 @@ class BranchContext:
     def mul_by_map(self, u: AlgebraElement) -> LinearMap:
         """The 1 -> 1 matrix of multiplication by a fixed element."""
         A = self.algebra
-        n = A.rank
-        u = _vector(A._own(u))
-        cols = {
-            j: _push(A.mul_map.cols, [(i * n + j, c) for i, c in u.items()])
-            for j in range(n)
-        }
-        return LinearMap(A.gens, n, 1, 1, cols)
+        return LinearMap(A.gens, A.rank, 1, 1,
+                         A._mul_by_columns(_vector(A._own(u))))
 
     def linear_map(self, name: str) -> LinearMap:
         """Exact matrix of the generator `name` of `GENERATORS`, a name of

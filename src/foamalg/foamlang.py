@@ -300,9 +300,10 @@ def _check_label_degrees(e: DiagramExpr) -> None:
             for name, d in name_degrees(node.payload).items():
                 totals[name] = totals.get(name, 0) + d
                 if totals[name] > MAX_EXPONENT:
+                    where = (f" up to line {node.pos[0]}, column {node.pos[1]}"
+                             if node.pos else "")
                     raise ValueError(
-                        f"labels up to line {node.pos[0]}, column "
-                        f"{node.pos[1]} raise {name!r} to degree "
+                        f"labels{where} raise {name!r} to degree "
                         f"{totals[name]}, which exceeds the maximum "
                         f"{MAX_EXPONENT} for one name in one diagram")
 

@@ -22,7 +22,7 @@ basis (and hence delta_one) exists over Z[g...] without passing to fractions.
 from __future__ import annotations
 
 from functools import cached_property
-from .coeffring import MultiPoly, _mul_into, parse_expression
+from .coeffring import MultiPoly, _fields, _mul_into, parse_expression
 
 
 class DegenerateFormError(ValueError):
@@ -582,6 +582,7 @@ class FrobeniusAlgebra:
                 raise ValueError(
                     f"basis symbol {name!r} collides with a ring generator"
                 )
+        self._symbol_times: dict = {}
 
         if validate:
             self._validate_algebra()
@@ -763,23 +764,55 @@ class FrobeniusAlgebra:
         """Parse an element expression such as `X^2`, `a*X + b` or `x*y`.
 
         Names resolve to ring generators (as scalars) or to the algebra's
-        basis symbols; products reduce inside the algebra.
+        basis symbols.  Each product term of `parse_expression` packs its
+        ring generators into one monomial, and reaches its symbol powers by
+        pushing the unit column through the columns of multiplication by a
+        symbol once per factor; one `_push` then sums the terms' columns
+        with their coefficients.
         """
-        def name_value(name):
-            if name in self._symbols:
-                return self._symbols[name]
-            if name in self.gens:
-                return self.unit.scale(MultiPoly.gen(self.gens, name))
-            known = sorted(self._symbols) + list(self.gens)
-            raise ValueError(
-                f"unknown symbol {name!r} (algebra knows {', '.join(known) or 'none'})"
-            )
+        gens, symbols = self.gens, self._symbols
 
-        return parse_expression(
-            src,
-            constant=lambda k: self.unit.scale(k),
-            name_value=name_value,
-        )
+        def check_name(name):
+            if name not in symbols and name not in gens:
+                known = sorted(symbols) + list(gens)
+                raise ValueError(
+                    f"unknown symbol {name!r} (algebra knows "
+                    f"{', '.join(known) or 'none'})"
+                )
+
+        shifts = dict(_fields(gens))
+        one = MultiPoly.one(gens)
+        columns, weights = {}, []
+        for t, (coeff, degrees) in enumerate(
+                parse_expression(src, check_name=check_name)):
+            if not coeff:
+                continue
+            key, col = 0, {0: one}
+            for name, k in degrees.items():
+                if name in symbols:
+                    times = self._times(name)
+                    for _ in range(k):
+                        col = _push(times, col.items())
+                else:
+                    key += k << shifts[name]
+            columns[t] = col
+            weights.append((t, MultiPoly._canonical(gens, {key: coeff})))
+        return self._element(_push(columns, weights))
+
+    def _times(self, name: str) -> dict:
+        """The columns of multiplication by the basis symbol `name`, built
+        on first use."""
+        cols = self._symbol_times.get(name)
+        if cols is None:
+            cols = self._symbol_times[name] = self._mul_by_columns(
+                _vector(self._symbols[name]))
+        return cols
+
+    def _mul_by_columns(self, u: dict) -> dict:
+        """Column j is u * e_j, for u a sparse vector of this algebra."""
+        n, mul = self.rank, self.mul_map.cols
+        return {j: _push(mul, [(i * n + j, c) for i, c in u.items()])
+                for j in range(n)}
 
     def _coeff_label_str(self, c: MultiPoly, label: str) -> str:
         body = str(c)

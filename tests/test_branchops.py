@@ -215,6 +215,18 @@ class TestLinearMaps:
             lie3_ctx.linear_map("frobnicate")
 
 
+def spec_context(tmp_path, algebra, theta):
+    """The context of a CLI algebra and theta spec; the algebra `config`
+    is a rank-3 config algebra over Z[p, q] with a theta entry."""
+    if algebra == "config":
+        algebra = str(tmp_path / "alg.json")
+        (tmp_path / "alg.json").write_text(json.dumps({
+            "generators": ["p", "q"], "modulus": ["-p", "q + 1", "0", "1"],
+            "counit": ["0", "0", "1"], "theta": [[0, 1, 2, "p"]]}))
+    A, config_theta = cli.build_algebra(algebra)
+    return BranchContext(A, cli.build_theta(theta, A, config_theta))
+
+
 class TestGeneratorTable:
     @pytest.mark.parametrize("algebra,theta", [
         ("mv", "mv"), ("aN:5", "lie"), ("group:2,2", "group"),
@@ -222,13 +234,8 @@ class TestGeneratorTable:
     def test_names_resolve_to_their_arity(self, tmp_path, algebra, theta):
         """Each name of `GENERATORS` is a map of the arity the table states;
         `aug` and `diag` exist on group rings only."""
-        if algebra == "config":
-            algebra = str(tmp_path / "alg.json")
-            (tmp_path / "alg.json").write_text(json.dumps({
-                "generators": ["p", "q"], "modulus": ["-p", "q + 1", "0", "1"],
-                "counit": ["0", "0", "1"], "theta": [[0, 1, 2, "p"]]}))
-        A, config_theta = cli.build_algebra(algebra)
-        ctx = BranchContext(A, cli.build_theta(theta, A, config_theta))
+        ctx = spec_context(tmp_path, algebra, theta)
+        A = ctx.algebra
         group = isinstance(A, GroupRingAlgebra)
         for name, (_, ins, outs) in GENERATORS.items():
             if name in ("aug", "diag") and not group:
@@ -238,6 +245,16 @@ class TestGeneratorTable:
                 continue
             m = ctx.linear_map(name)
             assert (m.n, m.in_order, m.out_order) == (A.rank, ins, outs)
+
+
+    @pytest.mark.parametrize("algebra,theta", [
+        ("mv", "mv"), ("aN:5", "lie"), ("group:2,2", "group"),
+        ("config", "zero"), ("config", "config")])
+    def test_skein_map_is_cocomul_then_swap(self, tmp_path, algebra, theta):
+        """`cocomul_skein_map` relabels rows; it is the composite with swap."""
+        ctx = spec_context(tmp_path, algebra, theta)
+        assert ctx.cocomul_skein_map == \
+            ctx.cocomul_map >> ctx.algebra.swap_map
 
 
 class TestRingCoercion:

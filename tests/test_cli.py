@@ -316,6 +316,59 @@ class TestEval:
         assert json.loads(out) == {"arity": [0, 0], "value": "-a"}
 
 
+MV_KNOWS = "(algebra knows X, a, b, c)"
+# The exact stderr of a malformed label payload.  Its names are checked in
+# source order as they are read, so an unknown name is reported ahead of a
+# syntax error after it; a product term is checked against MAX_EXPONENT
+# once it is read.
+LABEL_ERRORS = [
+    ("Y", f"unknown symbol 'Y' {MV_KNOWS} at column 1"),
+    ("X + 2*b*Y^2", f"unknown symbol 'Y' {MV_KNOWS} at column 9"),
+    ("X^", "expected INT at column 3, found 'end of input'"),
+    ("X^60 * X^60", "labels up to line 1, column 1 raise 'X' to degree 120, "
+                    "which exceeds the maximum 100 for one name in one "
+                    "diagram"),
+    ("2^101", "exponent 101 at column 3 exceeds the maximum 100 for one "
+              "name in one product term"),
+    ("a b", "unexpected 'b' at column 3"),
+    ("--a", "expected a number or name at column 2, found '-'"),
+    ("a +* b", "expected a number or name at column 4, found '*'"),
+    ("a $ b", "unexpected character '$' at column 3"),
+    ("Y + ", f"unknown symbol 'Y' {MV_KNOWS} at column 1"),
+    ("X^100*Y", f"unknown symbol 'Y' {MV_KNOWS} at column 7"),
+]
+# The same for a polynomial string of a config over Z[a].
+POLY_ERRORS = [
+    ("Y", "unknown generator 'Y' (ring has ('a',)) at column 1"),
+    ("a + q^2", "unknown generator 'q' (ring has ('a',)) at column 5"),
+    ("a^", "expected INT at column 3, found 'end of input'"),
+    ("a^60 * a^60", "exponent 120 at column 10 exceeds the maximum 100 for "
+                    "one name in one product term"),
+    ("a b", "unexpected 'b' at column 3"),
+    ("--a", "expected a number or name at column 2, found '-'"),
+    ("Y + ", "unknown generator 'Y' (ring has ('a',)) at column 1"),
+    ("Y * a^", "unknown generator 'Y' (ring has ('a',)) at column 1"),
+]
+
+
+class TestParseErrorBytes:
+    @pytest.mark.parametrize("payload,message", LABEL_ERRORS)
+    def test_label(self, capsys, payload, message):
+        assert run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
+                   "--expr", f"label({payload})") == \
+            (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("payload,message", POLY_ERRORS)
+    def test_config_modulus(self, capsys, tmp_path, payload, message):
+        config = tmp_path / "alg.json"
+        config.write_text(json.dumps({
+            "generators": ["a"], "modulus": [payload, "0", "1"],
+            "counit": ["0", "1"]}))
+        assert run(capsys, "laws", "--algebra", str(config), "--theta",
+                   "zero", "--suite", "antisym") == \
+            (2, "", f"error: config {str(config)!r}: {message}\n")
+
+
 class TestReport:
     def test_pairing_is_built_once(self, capsys, monkeypatch):
         """counit(u * v), as mul ; counit, is built for the Gram matrix and

@@ -204,6 +204,40 @@ def render(gens, terms: dict) -> str:
     return text or "0"
 
 
+def render_over_terms(p: MultiPoly) -> str:
+    """`str(p)` as it was computed from the unpacked `p.terms` view."""
+    def term(exps, coeff):
+        factors = []
+        for g, e in zip(p.gens, exps):
+            if e == 1:
+                factors.append(g)
+            elif e > 1:
+                factors.append(f"{g}^{e}")
+        if not factors:
+            return str(coeff)
+        body = "*".join(factors)
+        if coeff == 1:
+            return body
+        if coeff == -1:
+            return f"-{body}"
+        return f"{coeff}*{body}"
+
+    if not p.terms:
+        return "0"
+    parts = [term(e, c) for e, c in sorted(p.terms.items(), reverse=True)]
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+# 0 to 4 generators; exponents anywhere below EXPONENT_LIMIT, with the
+# small ones that render without `^` or not at all drawn often.
+any_exponent = st.sampled_from([0, 1, 2]) | st.integers(0, EXPONENT_LIMIT - 1)
+any_width_polys = st.integers(0, 4).flatmap(lambda width: st.builds(
+    lambda pairs: MultiPoly(("w", "x", "y", "z")[:width], pairs),
+    st.lists(st.tuples(st.tuples(*[any_exponent] * width),
+                       st.integers(-3, 3) | st.integers(-10 ** 20, 10 ** 20)),
+             max_size=6)))
+
+
 class TestExactDiv:
     """Leading-term division by an int or a polynomial, exact or ValueError."""
 
@@ -320,6 +354,10 @@ class TestPackedKernel:
     def test_str_is_rendered_in_tuple_order(self, pairs):
         assert str(MultiPoly(WIDE, pairs)) == render(WIDE, summed(pairs))
 
+    @given(any_width_polys)
+    def test_str_matches_rendering_over_terms(self, p):
+        assert str(p) == render_over_terms(p)
+
     def test_str_order_across_fields(self):
         p = MultiPoly(WIDE, [((0, 0, 0, 300), 1), ((0, 1, 0, 0), -2),
                              ((1, 0, 0, 0), 1), ((0, 0, 0, 0), 7)])
@@ -412,22 +450,28 @@ class TestTextSyntax:
             {"a": 3, "b": 1, "X": 3}
         assert name_degrees("7") == {}
 
-    def test_exponent_bound_is_checked_before_any_power(self):
-        powers = []
-
-        class Value:
-            def __pow__(self, k):
-                powers.append(k)
-                return self
-
-            def __mul__(self, other):
-                return self
-
+    def test_exponent_bound_is_checked_before_any_power(self, monkeypatch):
+        # The bound is checked on the parsed term, before a value exists:
+        # parse_poly wraps no polynomial for `x^60 * x^60`.
+        names, built = [], []
         with pytest.raises(ValueError,
                            match="exponent 120 at column 10 exceeds"):
-            parse_expression("x^60 * x^60", constant=lambda k: Value(),
-                             name_value=lambda name: Value())
-        assert powers == []
+            parse_expression("x^60 * x^60", check_name=names.append)
+        assert names == ["x", "x"]
+        monkeypatch.setattr(MultiPoly, "_canonical", classmethod(
+            lambda cls, gens, packed: built.append(packed)))
+        with pytest.raises(ValueError,
+                           match="exponent 120 at column 10 exceeds"):
+            parse_poly("x^60 * x^60", ("x",))
+        assert built == []
+
+    def test_parse_expression_returns_product_terms(self):
+        # Signs and integer factors fold into the coefficient; a name's
+        # exponents add up over its term's factors.
+        terms = parse_expression("-2*x^2*3*y*x + 5 - y^0 + 2^3",
+                                 check_name=lambda name: None)
+        assert terms == [(-6, {"x": 3, "y": 1}), (5, {}), (-1, {"y": 0}),
+                         (8, {})]
 
     def test_deterministic_term_order(self):
         assert str(P("b + a^2")) == str(P("a^2 + b"))

@@ -240,6 +240,14 @@ class TestCompile:
         with pytest.raises(ValueError, match=r"7 inputs and a cut of 7 legs, 3\^14"):
             compile_diagram(Tensor([six, Generator("id")]), mv_ctx)
 
+    def test_label_degree_bound_on_a_built_tree(self, mv_ctx):
+        # Without positions the degree error drops its location.
+        label = Generator("label", payload="a^60")
+        with pytest.raises(ValueError) as info:
+            compile_diagram(Compose([label, label]), mv_ctx)
+        assert str(info.value) == (
+            "labels raise 'a' to degree 120, which exceeds the maximum 100 "
+            "for one name in one diagram")
 
     def test_bound_counts_only_legs_in_flight(self, mv_ctx):
         # A part's six legs are in flight only while its own column is made,

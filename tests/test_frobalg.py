@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -533,6 +534,93 @@ class TestParsingRendering:
 
     def test_render_zero(self, mv):
         assert mv.render_element(mv.zero) == "0"
+
+
+@functools.cache
+def parse_context(name):
+    """mv; a group ring whose symbols reduce (x^2 == 1, y^3 == 1) over
+    Z[q]; and a rank-4 quotient algebra over Z[s, t], as a config gives."""
+    if name == "mv":
+        return mv_algebra()
+    if name == "group":
+        return group_ring([2, 3], generators=("q",))
+    gens = ("s", "t")
+    modulus = [parse_poly(c, gens) for c in ("-1", "-t", "0", "-s", "1")]
+    return algebra_from_modulus(gens, modulus, [0, 0, 0, 1])
+
+
+@st.composite
+def payloads(draw, names):
+    """(text, terms): a signed sum of products of integers and `names`, some
+    with exponents, and its terms as [(sign, [(integer or name, exponent
+    or None)])].  No name reaches MAX_EXPONENT in one term."""
+    factor = st.tuples(st.sampled_from(names) | st.integers(0, 7),
+                       st.none() | st.integers(0, 8))
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(["+", "-"]),
+                  st.lists(factor, min_size=1, max_size=3)),
+        min_size=1, max_size=3))
+    lead = draw(st.sampled_from(["", "+", "-"]))
+    text = lead
+    for t, (sign, factors) in enumerate(terms):
+        if t:
+            text += f" {sign} "
+        text += " * ".join(str(base) + ("" if k is None else f"^{k}")
+                           for base, k in factors)
+    terms[0] = ("-" if lead == "-" else "+", terms[0][1])
+    return text, terms
+
+
+def fold(terms, value):
+    """The value of parsed terms by arithmetic on values: `value(base)` for
+    an integer or a name, raised with `**` and multiplied with `*`."""
+    total = None
+    for sign, factors in terms:
+        product = None
+        for base, k in factors:
+            v = value(base) ** (1 if k is None else k)
+            product = v if product is None else product * v
+        if total is None:
+            total = -product if sign == "-" else product
+        else:
+            total = total - product if sign == "-" else total + product
+    return total
+
+
+class TestParseAgainstArithmetic:
+    """`parse_element` and `parse_poly` fold the parsed terms directly; the
+    references evaluate the same payloads through `AlgebraElement` and
+    `MultiPoly` arithmetic, factor by factor."""
+
+    @pytest.mark.parametrize("name", ["mv", "group", "rank4"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_element(self, name, data):
+        A = parse_context(name)
+        text, terms = data.draw(payloads(sorted(A._symbols) + list(A.gens)))
+
+        def value(base):
+            if isinstance(base, int):
+                return A.unit.scale(base)
+            if base in A._symbols:
+                return A._symbols[base]
+            return A.unit.scale(MultiPoly.gen(A.gens, base))
+
+        assert A.parse_element(text) == fold(terms, value)
+
+    @pytest.mark.parametrize("name", ["mv", "group", "rank4"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parse_poly(self, name, data):
+        gens = parse_context(name).gens
+        text, terms = data.draw(payloads(list(gens)))
+
+        def value(base):
+            if isinstance(base, int):
+                return MultiPoly.const(gens, base)
+            return MultiPoly.gen(gens, base)
+
+        assert parse_poly(text, gens) == fold(terms, value)
 
 
 small_polys = st.builds(
