@@ -337,26 +337,9 @@ def _width(e: DiagramExpr) -> tuple[int, int, int]:
     return ins[0], outs[-1], max(widths)
 
 
-class _Made:
-    """A column source whose column j is `make(j)`, made when first read
-    and kept, so no column is made twice."""
-
-    __slots__ = ("make", "made")
-
-    def __init__(self, make):
-        self.make = make
-        self.made: dict = {}
-
-    def get(self, j: int):
-        col = self.made.get(j)
-        if col is None:
-            col = self.made[j] = self.make(j) or {}
-        return col
-
-
 def _stage(factors: list):
-    """The columns of the Kronecker product of `factors`: one factor's own,
-    or a `_Kron` of them."""
+    """The columns of the Kronecker product of `factors`: one factor's own
+    (a map's stored columns, or a `_Chain`), or a `_Kron` of them."""
     return factors[0].cols if len(factors) == 1 else _Kron(*factors)
 
 
@@ -379,18 +362,29 @@ def _support(factors: list):
 
 
 class _Chain:
-    """A composition as a `_Kron` factor, from its parts' factor lists: its
-    column j is input column j pushed through the parts' stages in turn,
-    made when first read and kept."""
+    """A composition as a `_Kron` factor and its own column source, from its
+    parts' factor lists: `make(j)` pushes input column j through the parts'
+    stages in turn, and `get(j)` keeps it, so no column is made twice."""
 
-    __slots__ = ("n", "in_order", "out_order", "cols", "first")
+    __slots__ = ("n", "in_order", "out_order", "make", "made", "first")
 
     def __init__(self, parts: list):
         self.n = parts[0][0].n
         self.in_order = sum(f.in_order for f in parts[0])
         self.out_order = sum(f.out_order for f in parts[-1])
-        self.cols = _Made(partial(_column, list(map(_stage, parts))))
+        self.make = partial(_column, list(map(_stage, parts)))
+        self.made: dict = {}
         self.first = parts[0]
+
+    @property
+    def cols(self):
+        return self
+
+    def get(self, j: int) -> dict:
+        col = self.made.get(j)
+        if col is None:
+            col = self.made[j] = self.make(j)
+        return col
 
     def support(self):
         return _support(self.first)
@@ -416,9 +410,8 @@ class Side:
     """A signed sum of compiled diagrams as a column source: `get(c)` is
     column c, `support()` the set (or a dict's keys) of the columns that can
     be nonzero, or None when every one can, and `outputs` the diagrams'
-    outputs before any transpose.  A term is (coefficient, column function
-    giving dicts, factors, the map of the factors' columns to the side's or
-    None)."""
+    outputs.  A term is (coefficient, column function giving dicts,
+    factors, the map of the factors' columns to the side's or None)."""
 
     def __init__(self, terms, gens, outputs):
         self.terms, self.outputs = terms, outputs
@@ -455,16 +448,12 @@ class Compiler:
 
     Identical subtrees are compiled once, keyed by their source text, so
     their columns are made once however often they are read; `mul ; counit`
-    is the stored pairing.  With `transpose`, every diagram compiles to
-    its transpose: each `;` reversed, each `*` kept in order, each
-    generator transposed.
+    is the stored pairing.
     """
 
-    def __init__(self, ctx: BranchContext, transpose=False):
-        self.ctx, self.transpose = ctx, transpose
-        pairing = ctx.algebra.pairing_map
-        self.memo = {"mul ; counit": [pairing.transpose() if transpose
-                                      else pairing]}
+    def __init__(self, ctx: BranchContext):
+        self.ctx = ctx
+        self.memo = {"mul ; counit": [ctx.algebra.pairing_map]}
 
     def factors(self, node) -> list:
         """The Kronecker factors of a well-typed tree: maps, or `_Chain`s
@@ -478,17 +467,11 @@ class Compiler:
 
     def _make(self, node):
         if isinstance(node, Compose):
-            parts = [self.factors(p) for p in node.parts]
-            return _Chain(parts[::-1] if self.transpose else parts)
+            return _Chain([self.factors(p) for p in node.parts])
         ctx = self.ctx
         if node.name == "label":
-            m = ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
-        else:
-            m = ctx.linear_map(node.name)
-        # id and swap are their own transposes.
-        if self.transpose and node.name not in ("id", "swap"):
-            return m.transpose()
-        return m
+            return ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
+        return ctx.linear_map(node.name)
 
     def side(self, terms) -> Side:
         """The column source of sum_k a_k * d_k(x_P_k) for `terms` of
@@ -501,17 +484,13 @@ class Compiler:
         for (a, perm, _), (tree, _, key) in zip(terms, parsed):
             factors = self.factors(tree)
             source = _stage(factors)
-            if isinstance(source, _Made):
+            if isinstance(source, _Chain):
                 fetch = source.make if keys.count(key) == 1 else source.get
             else:  # a map's columns or a `_Kron`: None for a zero column
                 fetch = lambda c, get=source.get: get(c) or {}
             back = perm and _permuter(  # the inverse permutation
                 tuple(sorted(range(len(perm)), key=perm.__getitem__)), n)
-            if perm and self.transpose:
-                fetch = lambda r, f=fetch, b=back: {
-                    b(c): v for c, v in f(r).items()}
-                back = None
-            elif perm:
+            if perm:
                 fetch = lambda c, f=fetch, p=_permuter(perm, n): f(p(c))
             out.append((a, fetch, factors, back))
         return Side(out, self.ctx.algebra.gens,

@@ -397,15 +397,6 @@ class LinearMap:
             cols,
         )
 
-    def transpose(self) -> "LinearMap":
-        """The transposed matrix, A^(x)out_order -> A^(x)in_order, in one
-        pass over the stored entries."""
-        cols: dict = {}
-        for c, col in self.cols.items():
-            for r, v in col.items():
-                cols.setdefault(r, {})[c] = v
-        return LinearMap(self.gens, self.n, self.out_order, self.in_order, cols)
-
     # -- linear structure ------------------------------------------------------
 
     def _same_shape(self, other):
@@ -767,8 +758,9 @@ class FrobeniusAlgebra:
         basis symbols.  Each product term of `parse_expression` packs its
         ring generators into one monomial, and reaches its symbol powers by
         pushing the unit column through the columns of multiplication by a
-        symbol once per factor; one `_push` then sums the terms' columns
-        with their coefficients.
+        symbol once per factor, the first symbol's powers kept for the later
+        terms; one `_push` then sums the terms' columns with their
+        coefficients.
         """
         gens, symbols = self.gens, self._symbols
 
@@ -782,20 +774,23 @@ class FrobeniusAlgebra:
 
         shifts = dict(_fields(gens))
         one = MultiPoly.one(gens)
-        columns, weights = {}, []
+        columns, weights, powers = {}, [], {}
         for t, (coeff, degrees) in enumerate(
                 parse_expression(src, check_name=check_name)):
             if not coeff:
                 continue
-            key, col = 0, {0: one}
+            key, col = 0, None
             for name, k in degrees.items():
-                if name in symbols:
-                    times = self._times(name)
-                    for _ in range(k):
-                        col = _push(times, col.items())
-                else:
+                if name not in symbols:
                     key += k << shifts[name]
-            columns[t] = col
+                    continue
+                made = [col] if col is not None else powers.setdefault(
+                    name, [{0: one}])
+                times = self._times(name)
+                while len(made) <= k:
+                    made.append(_push(times, made[-1].items()))
+                col = made[k]
+            columns[t] = {0: one} if col is None else col
             weights.append((t, MultiPoly._canonical(gens, {key: coeff})))
         return self._element(_push(columns, weights))
 

@@ -6,8 +6,8 @@ sides to column sources, and `frobalg._first_unequal_column` compares them
 one input column, that is one basis tuple, at a time in flat order, up to
 the first column where they differ.  Only the columns where a side can be
 nonzero are read, and cases are counted as if every column had been.  The
-skein identities 1-3 walk the transposed sides, so that they report the
-first unequal entry in row-major order.  Every check is complete over basis
+skein identities 1-3 walk on past unequal columns to report the first
+unequal entry in row-major order.  Every check is complete over basis
 tuples (multilinearity makes basis checking sufficient), and failure is
 data: a LawReport carrying the first counterexample.
 
@@ -120,54 +120,44 @@ def _render(A, col: dict, order: int) -> str:
 _HEAD = 16  # input columns walked before any support is computed
 
 
-def _columns(pairs, count: int):
-    """The increasing columns, of `count`, where a side of `pairs` can be
+def _columns(pair, count: int):
+    """The increasing columns, of `count`, where a side of `pair` can be
     nonzero, all of them if one side can be everywhere; the first _HEAD
     come first in any case, so a law failing there computes no support."""
     def parts():
-        k = len(pairs)
-        head = min(k * _HEAD, count)
+        head = min(_HEAD, count)
         yield range(head)
         support = set()
-        for t, pair in enumerate(pairs):
-            for side in pair:
-                keys = side.support()
-                if keys is None:
-                    yield range(head, count)
-                    return
-                support.update(keys if k == 1 else (c * k + t for c in keys))
+        for side in pair:
+            keys = side.support()
+            if keys is None:
+                yield range(head, count)
+                return
+            support.update(keys)
         support.difference_update(range(head))
         yield sorted(support)
     return chain.from_iterable(parts())
 
 
-def _walk(pairs, width: int):
-    """`_first_unequal_column` over (lhs, rhs) column sources that take
-    turns on the `width` input columns: column c stands for pair c % k on
-    input column c // k."""
-    k = len(pairs)
-    if k == 1:
-        (lhs, rhs), = pairs
-        return _first_unequal_column(lhs.get, rhs.get,
-                                     _columns(pairs, width))
-    return _first_unequal_column(lambda c: pairs[c % k][0].get(c // k),
-                                 lambda c: pairs[c % k][1].get(c // k),
-                                 _columns(pairs, k * width))
+def _walk(pair, width: int):
+    """`_first_unequal_column` over the (lhs, rhs) column sources `pair`."""
+    lhs, rhs = pair
+    return _first_unequal_column(lhs.get, rhs.get, _columns(pair, width))
 
 
-def _compare(A, pairs, in_order: int):
+def _compare(A, pair, in_order: int):
     """`_walk` on maps A^(x)in_order -> A^(x)out: the position of the first
     unequal column, or the number of columns, and the counterexample there
     or None."""
-    k, width = len(pairs), A.rank ** in_order
-    found = _walk(pairs, width)
+    width = A.rank ** in_order
+    found = _walk(pair, width)
     if found is None:
-        return k * width, None
+        return width, None
     c, a, b = found
-    lhs, rhs = pairs[c % k]
+    lhs, rhs = pair
     out = lhs.outputs if lhs.outputs is not None else rhs.outputs
     return c + 1, {
-        "inputs": _labels(A, *_unflat(c // k, A.rank, in_order)),
+        "inputs": _labels(A, *_unflat(c, A.rank, in_order)),
         "lhs": _render(A, a, out),
         "rhs": _render(A, b, out),
     }
@@ -175,7 +165,7 @@ def _compare(A, pairs, in_order: int):
 
 def _law_report(law: str, ctx: BranchContext) -> LawReport:
     """The report of a law of `LAWS`, one case per column."""
-    cases, cx = _compare(ctx.algebra, [sides(Compiler(ctx), law)],
+    cases, cx = _compare(ctx.algebra, sides(Compiler(ctx), law),
                          LAWS[law][0])
     return LawReport(law=law, passed=cx is None, checked_cases=cases,
                      counterexample=cx)
@@ -210,6 +200,29 @@ def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
         algebra, ThetaTable.zero(algebra.rank, gens=algebra.gens)))
 
 
+def _first_unequal_entry(A, pair, order: int):
+    """The counterexample at the first unequal entry, in row-major order, of
+    the (lhs, rhs) maps A^(x)order -> A^(x)order, or None.  The columns are
+    walked in increasing order, so the first to reach a row is that row's
+    smallest; a difference in row 0 ends the walk."""
+    n, best = A.rank, None
+    columns = _columns(pair, n ** order)
+    while found := _first_unequal_column(pair[0].get, pair[1].get, columns):
+        c, a, b = found
+        r = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        if best is None or r < best[0]:
+            best = r, c, a.get(r), b.get(r)
+            if r == 0:
+                break
+    if best is None:
+        return None
+    r, c, a, b = best
+    zero = MultiPoly.zero(A.gens)
+    return {"inputs": _labels(A, *_unflat(c, n, order)),
+            "output_basis": _labels(A, *_unflat(r, n, order)),
+            "lhs": str(a or zero), "rhs": str(b or zero)}
+
+
 _SKEIN_NOTES = {
     "skein_identity_1": "holds with both sides negated: F = swap - E",
     "skein_identity_3": "matrix equals -2 * identity",
@@ -224,33 +237,26 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
       (1)  F = E - swap
       (2)  F ; F = id + E
       (3)  D ; bracket = 2 id
-    Each walks the transposes of its sides, whose columns are the rows, so
-    the counterexample is the first unequal entry in row-major order.
+    Each reports the first unequal entry in row-major order
+    (`_first_unequal_entry`).
     The plain-cocomul reports are advisory; notes record exact sign-flipped
     outcomes where they hold.  The pointwise kernel identity
       bracket(e_i, u_(1)) (x) u_(2) = e_j (x) e_i + counit(e_i e_j) delta_one
     (legs from plain cocomul of u = e_j) is checked as stated, with a note
     when the -counit form holds instead.
     """
-    A = ctx.algebra
-    n, zero = A.rank, MultiPoly.zero(A.gens)
-    plain, transposed = Compiler(ctx), Compiler(ctx, transpose=True)
+    A, n = ctx.algebra, ctx.algebra.rank
+    compiler = Compiler(ctx)
     reports: list[LawReport] = []
     for variant, D in (("cocomul_skein", "bcomul_skein"),
                        ("cocomul", "bcomul")):
         for law, order in (("skein_identity_1", 2), ("skein_identity_2", 2),
                            ("skein_identity_3", 1)):
-            found = _walk([sides(transposed, law, D=D)], n ** order)
-            cx = note = None
-            if found is not None:
-                r, a, b = found
-                c = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-                cx = {"inputs": _labels(A, *_unflat(c, n, order)),
-                      "output_basis": _labels(A, *_unflat(r, n, order)),
-                      "lhs": str(a.get(c, zero)), "rhs": str(b.get(c, zero))}
-                if law in _SKEIN_NOTES and _walk(
-                        [sides(plain, law, -1, D)], n ** order) is None:
-                    note = _SKEIN_NOTES[law]
+            cx = _first_unequal_entry(A, sides(compiler, law, D=D), order)
+            note = None
+            if cx is not None and law in _SKEIN_NOTES and _walk(
+                    sides(compiler, law, -1, D), n ** order) is None:
+                note = _SKEIN_NOTES[law]
             reports.append(LawReport(
                 law=law, variant=variant, passed=cx is None,
                 checked_cases=n ** order, counterexample=cx, note=note,
@@ -258,11 +264,11 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
 
     # Pointwise kernel identity, F == swap + E with F from the plain cocomul
     # convention; every pair is a case, and the first unequal one is shown.
-    _, cx = _compare(A, [sides(plain, "skein_pointwise_kernel", D="bcomul")],
-                     2)
+    _, cx = _compare(A, sides(compiler, "skein_pointwise_kernel",
+                              D="bcomul"), 2)
     note = None
-    if cx is not None and _walk([sides(plain, "skein_identity_1", -1,
-                                       "bcomul")], n * n) is None:
+    if cx is not None and _walk(sides(compiler, "skein_identity_1", -1,
+                                      "bcomul"), n * n) is None:
         note = ("holds with the opposite counit sign: "
                 "lhs = e_j⊗e_i - counit(e_i*e_j)*delta_one")
     reports.append(LawReport(
@@ -293,10 +299,14 @@ SUITE_NAMES = tuple(SUITES)
 def select_suites(names=None, algebra=None) -> list[str]:
     """The suites a selection names, in its order; None, "all" or a list
     holding "all" selects every suite that applies to `algebra`.  Raises
-    ValueError on an unknown name, and on bialgebra for an algebra that is
+    ValueError on a selection of no name, since no law run must not read
+    as a pass, on an unknown name, and on bialgebra for an algebra that is
     not a group ring; with no algebra, only the names are checked."""
     from .groupfoam import GroupRingAlgebra
     names = ["all"] if names is None or names == "all" else names
+    if not names:
+        raise ValueError(f"--suite selection {list(names)} selects no law; "
+                         f"available: {', '.join(SUITE_NAMES)}, all")
     unknown = [n for n in names if n not in SUITES and n != "all"]
     if unknown:
         raise ValueError(

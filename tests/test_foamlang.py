@@ -408,7 +408,7 @@ class TestInterchange:
 
 class TestColumnSources:
     """`Compiler`, the column-source layer that compiles law sides: its
-    transposes, its reported supports, and the `theta` and `delta_one`
+    reported supports, its permuted terms, and the `theta` and `delta_one`
     generators, on `mv`."""
 
     exprs = TestRoundTrip.exprs
@@ -424,32 +424,18 @@ class TestColumnSources:
         return (ins, outs) if ins + outs <= 5 else None
 
     @settings(max_examples=60, deadline=None)
-    @given(exprs)
-    def test_compiled_transpose(self, mv_ctx, e):
+    @given(exprs, st.booleans())
+    def test_columns_outside_the_support_are_zero(self, mv_ctx, e, permute):
         arity = self.small(e)
         assume(arity is not None)
-        ins, outs = arity
-        A = mv_ctx.algebra
-        side = Compiler(mv_ctx, transpose=True).side([(1, None, pretty(e))])
-        got = LinearMap(A.gens, A.rank, outs, ins,
-                        {r: side.get(r) for r in range(A.rank ** outs)})
-        assert got == compile_diagram(e, mv_ctx).transpose()
-
-    @settings(max_examples=60, deadline=None)
-    @given(exprs, st.booleans(), st.booleans())
-    def test_columns_outside_the_support_are_zero(self, mv_ctx, e, transpose,
-                                                  permute):
-        arity = self.small(e)
-        assume(arity is not None)
-        ins, outs = arity
-        legs = outs if transpose else ins
+        ins = arity[0]
         perm = tuple(reversed(range(ins))) if permute and ins > 1 else None
-        side = Compiler(mv_ctx, transpose=transpose).side(
+        side = Compiler(mv_ctx).side(
             [(1, perm, pretty(e)), (-2, None, pretty(e))])
         support = side.support()
         if support is None:
             return
-        for c in range(mv_ctx.algebra.rank ** legs):
+        for c in range(mv_ctx.algebra.rank ** ins):
             if c not in support:
                 assert side.get(c) == {}
 

@@ -464,9 +464,9 @@ def test_early_exit_builds_no_whole_map(monkeypatch, check):
 
 
 def test_skein_builds_no_whole_map(monkeypatch):
-    """On group:2^6 the skein identities read every composite, Kronecker
-    product and transpose one column at a time: no map wider than n^2
-    columns is built (F (x) id would have n^3 = 262144)."""
+    """On group:2^6 the skein identities read every composite and Kronecker
+    product one column at a time: no map wider than n^2 columns is built
+    (F (x) id would have n^3 = 262144)."""
     A = group_ring([2] * 6)
     ctx = BranchContext(A, derive_bialgebra_theta(A))
     n = A.rank

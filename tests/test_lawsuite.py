@@ -17,6 +17,7 @@ from foamalg.lawsuite import (
     check_skein_identities,
     check_theta_trace,
     run_suite,
+    select_suites,
     suite_passed,
 )
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
@@ -104,6 +105,28 @@ class TestSkein:
         assert not rp.passed and rp.advisory
         assert "opposite counit sign" in rp.note
 
+    def test_walks_stop_at_a_difference_in_row_0(self, monkeypatch):
+        """On aN:15/lie every skein identity differs in row 0 of the first
+        column, so each of the six walks reads that one input column of
+        each side, and no more."""
+        reads, sides = [], lawsuite.sides
+
+        def recording(compiler, law, sign=1, D=""):
+            pair = sides(compiler, law, sign, D)
+            if sign == 1 and law.startswith("skein_identity"):
+                for side in pair:
+                    cols = []
+                    reads.append(cols)
+                    side.get = lambda c, get=side.get, cols=cols: (
+                        cols.append(c) or get(c))
+            return pair
+
+        monkeypatch.setattr(lawsuite, "sides", recording)
+        reports = check_skein_identities(lie_ctx(15))[:6]
+        assert [r.counterexample["output_basis"][0] for r in reports] == \
+            ["1"] * 6
+        assert reads == [[0]] * 12
+
     def test_counterexample_shape(self, mv_ctx):
         reports = check_skein_identities(mv_ctx)
         failing = [r for r in reports if not r.passed]
@@ -167,6 +190,16 @@ class TestSuite:
     def test_unknown_name(self, mv_ctx):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite(mv_ctx, ["nonsense"])
+
+    @pytest.mark.parametrize("names", [[], ()])
+    def test_empty_selection_runs_no_law(self, mv_ctx, monkeypatch, names):
+        # No selected law must not read as "every selected law passed".
+        calls = self.count_laws(monkeypatch)
+        for select in (select_suites, lambda names: run_suite(mv_ctx, names)):
+            with pytest.raises(ValueError, match=(
+                    "selects no law; available: antisym, jacobi, .*, all$")):
+                select(names)
+        assert calls == []
 
     def test_bialgebra_needs_group(self, mv_ctx):
         with pytest.raises(ValueError, match="group ring"):
