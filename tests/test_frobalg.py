@@ -536,6 +536,61 @@ class TestParsingRendering:
         assert mv.render_element(mv.zero) == "0"
 
 
+
+class TestInputChecks:
+    """The checks that element and tensor input goes through, and the ring
+    check of every `scale`."""
+
+    def test_tensor_order_must_be_positive(self, mv):
+        with pytest.raises(ValueError, match="tensor order must be at least 1"):
+            TensorElement(mv, 0, {})
+
+    def test_index_tuple_must_have_the_order(self, mv):
+        with pytest.raises(ValueError, match=re.escape(
+                "index tuple (0,) does not have order 2")):
+            TensorElement(mv, 2, {(0,): 1})
+
+    def test_index_must_be_a_basis_index(self, mv):
+        with pytest.raises(ValueError, match=re.escape(
+                "basis index out of range in (3,)")):
+            TensorElement(mv, 1, {(3,): 1})
+
+    def test_repeated_keys_add_up_and_cancel(self, mv):
+        t = TensorElement(mv, 1, [((0,), 1), ((0,), -1)])
+        assert not t
+        assert t == mv.tensor_zero(1)
+        assert TensorElement(mv, 1, [((2,), 1), ((2,), 2)]) == \
+            TensorElement(mv, 1, {(2,): 3})
+
+    def test_scaling_by_another_ring_is_refused(self, mv):
+        z = MultiPoly.const(("z",), 3)
+        message = re.escape("generator mismatch: ('z',) vs ('a', 'b', 'c')")
+        for value in (mv.unit, mv.tensor(mv.unit, mv.unit), mv.identity_map):
+            with pytest.raises(ValueError, match=message):
+                value.scale(z)
+            with pytest.raises(ValueError, match=message):
+                z * value
+
+
+class TestRenderers:
+    """Elements print the highest basis index first, tensors in increasing
+    index-tuple order."""
+
+    def test_delta_one(self, mv):
+        assert repr(mv.delta_one) == \
+            "b*1⊗1 + a*1⊗X - 1⊗X^2 + a*X⊗1 - X⊗X - X^2⊗1"
+
+    def test_element(self, mv):
+        u = mv.parse_element("a*X^2 + b*X^2 - c*X + 3")
+        assert repr(u) == "(a + b)*X^2 - c*X + 3"
+        assert mv.render_element(u) == repr(u)
+
+    def test_tensor(self, mv):
+        u = mv.parse_element("a*X^2 + b*X^2 - c*X + 3")
+        t = mv.tensor(u, mv.parse_element("X"))
+        assert repr(t) == "3*1⊗X - c*X⊗X + (a + b)*X^2⊗X"
+        assert mv.render_tensor(t) == repr(t)
+
 @functools.cache
 def parse_context(name):
     """mv; a group ring whose symbols reduce (x^2 == 1, y^3 == 1) over

@@ -143,3 +143,100 @@ def test_product_is_reduction_by_the_modulus(case):
     for i in range(n):
         for j in range(n):
             assert got(A.mul_basis(i, j)) == reduced(i + j)
+
+
+DOMAINS = {(): sympy.ZZ, ("a", "b"): sympy.ZZ[RINGS[("a", "b")]]}
+
+
+def elements(gens, n):
+    """Coefficient lists, X^0 first, of elements sum_d c_d X^d of a rank-n
+    algebra over Z or Z[a, b]."""
+    if gens:
+        a, b = RINGS[gens]
+        coeff = st.builds(lambda u, v, w, z: u + v * a + w * b + z * a * b,
+                          *[st.integers(-2, 2)] * 4)
+    else:
+        coeff = st.integers(-4, 4).map(sympy.Integer)
+    return st.lists(coeff, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("gens", list(RINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_is_arithmetic_mod_the_modulus(gens, data):
+    """Sums, scalings, products, powers, the counit, tensors, their
+    componentwise product and the comultiplication of elements, each checked
+    against sympy's remainder by the modulus.  The elements are built from
+    their coefficient lists, and only the results' coefficients are read.
+    The oracle computes in sympy's polynomial domain over the ring, so that
+    coefficients compare exactly without expanding expressions."""
+    modulus, counit = data.draw(algebras(gens))
+    A = build(gens, modulus, counit)
+    symbols, n, D = RINGS[gens], A.rank, DOMAINS[gens]
+    m = sympy.Poly(list(reversed(modulus)), X, domain=D)
+    cu, cv = data.draw(elements(gens, n)), data.draw(elements(gens, n))
+    s = data.draw(elements(gens, 1))[0]
+    k = data.draw(st.integers(0, 3))
+
+    def make(coeffs):
+        return A.element([from_sympy(c, gens, symbols) for c in coeffs])
+
+    def poly(coeffs):
+        """sum_d coeffs[d] X^d as a sympy Poly in X over the ring."""
+        return sympy.Poly(list(reversed(coeffs)), X, domain=D)
+
+    def reduced(f):
+        """The coefficients of X^0, ..., X^(n-1) of sympy.rem(f, m)."""
+        r = sympy.rem(f, m)
+        return [D.from_sympy(r.nth(d)) for d in range(n)]
+
+    def scalar(p):
+        return D.from_sympy(to_sympy(p, symbols))
+
+    def got(u):
+        return [scalar(c) for c in u.coeffs]
+
+    def got_tensor(t):
+        return {idx: scalar(c) for idx, c in t.coeffs.items()}
+
+    def outer(*legs):
+        """{index tuple: product of the legs' coefficients}, zeros left out."""
+        out = {(): D.one}
+        for leg in legs:
+            out = {idx + (i,): c * d
+                   for idx, c in out.items() for i, d in enumerate(leg)}
+        return {idx: c for idx, c in out.items() if c}
+
+    def add(*parts):
+        out = {}
+        for part in parts:
+            for idx, c in part.items():
+                out[idx] = out.get(idx, D.zero) + c
+        return {idx: c for idx, c in out.items() if c}
+
+    u, v, U, V = make(cu), make(cv), poly(cu), poly(cv)
+    assert got(u + v) == reduced(U + V)
+    assert got(u - v) == reduced(U - V)
+    assert got(-u) == reduced(-U)
+    assert got(u.scale(from_sympy(s, gens, symbols))) == reduced(poly([s]) * U)
+    assert got(A.mul(u, v)) == reduced(U * V)
+    assert got(u ** k) == reduced(U ** k)
+    assert scalar(A.counit(u)) == D.from_sympy(
+        sympy.expand(sum(e * c for e, c in zip(counit, cu))))
+
+    lu, lv = ([D.from_sympy(c) for c in cs] for cs in (cu, cv))
+    assert got_tensor(A.tensor(u, v)) == outer(lu, lv)
+    assert got_tensor(A.tensor(u, v, u)) == outer(lu, lv, lu)
+    # (u (x) v + v (x) u) * (u (x) u) = u u (x) v u + v u (x) u u.
+    t = A.tensor(u, v) + A.tensor(v, u)
+    assert got_tensor(t * A.tensor(u, u)) == add(
+        outer(reduced(U * U), reduced(V * U)),
+        outer(reduced(V * U), reduced(U * U)))
+
+    # comul(u) = sum_i y_i (x) e_i u, with y_i read off column i of G^-1,
+    # whose entries cancel to polynomials since det G is a unit.
+    inv = gram_oracle(modulus, counit).inv()
+    duals = [[D.from_sympy(sympy.cancel(inv[a, i])) for a in range(n)]
+             for i in range(n)]
+    assert got_tensor(A.comul(u)) == add(*(
+        outer(duals[i], reduced(poly([0] * i + [1]) * U)) for i in range(n)))
