@@ -26,7 +26,7 @@ from functools import cached_property
 from operator import attrgetter
 
 from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
-    TensorElement, _Kron, _column, _push, _vector
+    TensorElement, _Kron, _column, _push
 from .thetafoam import ThetaTable
 
 
@@ -114,7 +114,7 @@ class BranchContext:
         """The 1 -> 1 matrix of multiplication by a fixed element."""
         A = self.algebra
         return LinearMap(A.gens, A.rank, 1, 1,
-                         A._mul_by_columns(_vector(A._own(u))))
+                         A._mul_by_columns(A._own(u).vec))
 
     def linear_map(self, name: str) -> LinearMap:
         """Exact matrix of the generator `name` of `GENERATORS`, a name of

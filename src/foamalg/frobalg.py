@@ -14,6 +14,12 @@ column store between tensor powers of the algebra.  Products, coproducts,
 compositions and applications all go through `_push`, the one routine that
 scales columns and accumulates them.
 
+Elements share that form.  An `AlgebraElement` or `TensorElement` holds one
+sparse vector `vec`, {flat index: nonzero MultiPoly}, shaped like a column of
+a map into its tensor power, so `_push` reads and writes it as it is.  Only
+the public constructors, which take dense coefficient lists or dicts keyed by
+index tuples, and the read-only `coeffs` views convert to and from that form.
+
 The Gram matrix must have determinant 1 or -1: its inverse then stays inside
 the integer coefficient ring, which is the only setting in which the dual
 basis (and hence delta_one) exists over Z[g...] without passing to fractions.
@@ -29,16 +35,64 @@ class DegenerateFormError(ValueError):
     """The Gram matrix of the Frobenius form is singular or non-unimodular."""
 
 
-class AlgebraElement:
-    """An element of a Frobenius algebra: a coefficient vector over the basis."""
+class _Vec:
+    """The linear structure shared by elements and tensors.
 
-    __slots__ = ("algebra", "coeffs")
+    `vec` is a sparse {flat index: nonzero MultiPoly} vector, flattened as
+    the columns of a `LinearMap` are, and every sum and scaling goes through
+    `_push`.  Instances are immutable: no operation changes a `vec`.
+    """
+
+    __slots__ = ("algebra", "vec")
+
+    def _check(self, other):
+        return self.algebra._own(other, type(self), self.order)
+
+    def __add__(self, other):
+        one = MultiPoly.one(self.algebra.gens)
+        return self._like(_push({0: self.vec, 1: self._check(other).vec},
+                                ((0, one), (1, one))))
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = _scalar(self.algebra.gens, c)
+        return self._like(_push({0: self.vec}, ((0, c),)))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, MultiPoly)):
+            return self.scale(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.algebra is other.algebra and self.order == other.order
+                and self.vec == other.vec)
+
+    def __bool__(self):
+        return bool(self.vec)
+
+    def __repr__(self):
+        return self.algebra._render(self.vec, self.order)
+
+
+class AlgebraElement(_Vec):
+    """An element of a Frobenius algebra: `vec` maps basis indices to the
+    nonzero coefficients; `coeffs` is the dense coefficient tuple."""
+
+    __slots__ = ()
+    order = 1
 
     def __init__(self, algebra: "FrobeniusAlgebra", coeffs):
-        coeffs = tuple(
+        coeffs = [
             c if isinstance(c, MultiPoly) else MultiPoly.const(algebra.gens, c)
             for c in coeffs
-        )
+        ]
         if len(coeffs) != algebra.rank:
             raise ValueError(
                 f"rank mismatch: got {len(coeffs)} coefficients for a rank "
@@ -50,25 +104,16 @@ class AlgebraElement:
                     f"generator mismatch: {c.gens} vs {algebra.gens}"
                 )
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.vec = {i: c for i, c in enumerate(coeffs) if c}
 
-    def _check(self, other):
-        return self.algebra._own(other)
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of e_0, ..., e_(n-1), zeros included."""
+        zero = MultiPoly.zero(self.algebra.gens)
+        return tuple([self.vec.get(i, zero) for i in range(self.algebra.rank)])
 
-    def __add__(self, other):
-        other = self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, tuple(-c for c in self.coeffs))
+    def _like(self, vec):
+        return self.algebra._element(vec)
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
@@ -76,16 +121,6 @@ class AlgebraElement:
         if isinstance(other, (int, MultiPoly)):
             return self.scale(other)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, MultiPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = MultiPoly.const(self.algebra.gens, c)
-        return AlgebraElement(self.algebra, tuple(c * x for x in self.coeffs))
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -99,32 +134,19 @@ class AlgebraElement:
                 base = base * base
         return result
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.coeffs == other.coeffs
 
-    def __bool__(self):
-        return any(self.coeffs)
+class TensorElement(_Vec):
+    """An element of the k-fold tensor power of the algebra: `vec` maps the
+    flat index i1*n^(k-1) + ... + ik of each basis tuple to its nonzero
+    coefficient; `coeffs` is the same vector keyed by the tuples."""
 
-    def __repr__(self):
-        return self.algebra.render_element(self)
-
-
-class TensorElement:
-    """An element of the k-fold tensor power of the algebra.
-
-    Stored sparsely: a map from k-tuples of basis indices to nonzero
-    polynomial coefficients.
-    """
-
-    __slots__ = ("algebra", "order", "coeffs")
+    __slots__ = ("order",)
 
     def __init__(self, algebra: "FrobeniusAlgebra", order: int, coeffs):
         if order < 1:
             raise ValueError("tensor order must be at least 1")
         n = algebra.rank
-        canon: dict[tuple[int, ...], MultiPoly] = {}
+        vec: dict[int, MultiPoly] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for idx, c in items:
             idx = tuple(int(i) for i in idx)
@@ -138,48 +160,22 @@ class TensorElement:
                 raise ValueError(
                     f"generator mismatch: {c.gens} vs {algebra.gens}"
                 )
-            s = canon.get(idx)
-            s = c if s is None else s + c
-            if s:
-                canon[idx] = s
-            elif idx in canon:
-                del canon[idx]
+            flat = 0
+            for i in idx:
+                flat = flat * n + i
+            vec[flat] = vec[flat] + c if flat in vec else c
         self.algebra = algebra
         self.order = order
-        self.coeffs = canon
+        self.vec = {k: c for k, c in vec.items() if c}
 
-    def _check(self, other):
-        if not isinstance(other, TensorElement):
-            raise TypeError(f"expected TensorElement, got {type(other).__name__}")
-        if other.order != self.order or other.algebra is not self.algebra:
-            raise ValueError("tensor order or algebra mismatch")
-        return other
+    @property
+    def coeffs(self) -> dict:
+        """{index tuple: coefficient}, for the nonzero coefficients."""
+        n = self.algebra.rank
+        return {_unflat(k, n, self.order): c for k, c in self.vec.items()}
 
-    def __add__(self, other):
-        other = self._check(other)
-        return TensorElement(
-            self.algebra, self.order, _sum(self.coeffs, other.coeffs)
-        )
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __neg__(self):
-        return TensorElement(
-            self.algebra, self.order, {i: -c for i, c in self.coeffs.items()}
-        )
-
-    def scale(self, c) -> "TensorElement":
-        if isinstance(c, int):
-            c = MultiPoly.const(self.algebra.gens, c)
-        return TensorElement(
-            self.algebra, self.order, {i: c * v for i, v in self.coeffs.items()}
-        )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, MultiPoly)):
-            return self.scale(other)
-        return NotImplemented
+    def _like(self, vec):
+        return self.algebra._tensor(self.order, vec)
 
     def __mul__(self, other):
         """Componentwise algebra product on same-order tensors: mul on each
@@ -187,28 +183,22 @@ class TensorElement:
         if isinstance(other, (int, MultiPoly)):
             return self.scale(other)
         other = self._check(other)
-        A = self.algebra
-        vector = [
-            (_flat([i for pair in zip(s, t) for i in pair], A.rank), cs * ct)
-            for s, cs in self.coeffs.items() for t, ct in other.coeffs.items()
-        ]
-        return A._tensor(self.order,
-                         _push(_Kron(*[A.mul_map] * self.order), vector))
+        A, k = self.algebra, self.order
+        n = A.rank
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.algebra is other.algebra
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
+        def legs(s: int, t: int) -> int:
+            """The flat index of (s1, t1, ..., sk, tk)."""
+            j, width = 0, 1
+            for _ in range(k):
+                s, a = divmod(s, n)
+                t, b = divmod(t, n)
+                j += (a * n + b) * width
+                width *= n * n
+            return j
 
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __repr__(self):
-        return self.algebra.render_tensor(self)
+        vector = [(legs(s, t), cs * ct)
+                  for s, cs in self.vec.items() for t, ct in other.vec.items()]
+        return A._tensor(k, _push(_Kron(*[A.mul_map] * k), vector))
 
 
 # -- structure maps: sparse column stores --------------------------------------
@@ -250,17 +240,14 @@ def _kron(a: dict, b: dict, width: int) -> dict:
     return {i * width + j: x * y for i, x in a.items() for j, y in b.items()}
 
 
-def _sum(a: dict, b: dict) -> dict:
-    """Sum of two sparse vectors, zero entries dropped."""
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k] + v if k in out else v
-    return {k: v for k, v in out.items() if v}
-
-
-def _vector(u: AlgebraElement) -> dict:
-    """The nonzero coefficients of an element, by basis index."""
-    return {i: c for i, c in enumerate(u.coeffs) if c._packed}
+def _scalar(gens, c) -> MultiPoly:
+    """c as a scalar of Z[gens]: an int is made a constant, a polynomial of
+    another ring is refused (`_push` does not check rings)."""
+    if isinstance(c, int):
+        return MultiPoly.const(gens, c)
+    if c.gens != gens:
+        raise ValueError(f"generator mismatch: {c.gens} vs {gens}")
+    return c
 
 
 class _Kron:
@@ -309,13 +296,6 @@ def _first_unequal_column(lhs, rhs, columns):
         if a != b:
             return c, a, b
     return None
-
-
-def _flat(idx, n: int) -> int:
-    flat = 0
-    for i in idx:
-        flat = flat * n + i
-    return flat
 
 
 def _unflat(flat: int, n: int, order: int) -> tuple[int, ...]:
@@ -410,8 +390,10 @@ class LinearMap:
 
     def __add__(self, other):
         other = self._same_shape(other)
+        one = MultiPoly.one(self.gens)
         cols = {
-            c: _sum(self.cols.get(c, {}), other.cols.get(c, {}))
+            c: _push({0: self.cols.get(c), 1: other.cols.get(c)},
+                     ((0, one), (1, one)))
             for c in self.cols.keys() | other.cols.keys()
         }
         return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
@@ -423,9 +405,8 @@ class LinearMap:
         return self.scale(-1)
 
     def scale(self, c) -> "LinearMap":
-        if isinstance(c, int):
-            c = MultiPoly.const(self.gens, c)
-        cols = {j: {i: c * v for i, v in col.items()} for j, col in self.cols.items()}
+        c = _scalar(self.gens, c)
+        cols = {j: _push({0: col}, ((0, c),)) for j, col in self.cols.items()}
         return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
 
     def __rmul__(self, other):
@@ -461,9 +442,12 @@ class LinearMap:
             raise ValueError(
                 f"generator mismatch: {self.gens} vs {t.algebra.gens}"
             )
-        image = _push(
-            self.cols, ((_flat(idx, self.n), c) for idx, c in t.coeffs.items())
-        )
+        if t.algebra.rank != self.n:
+            raise ValueError(
+                f"rank mismatch: tensor of a rank {t.algebra.rank} algebra "
+                f"given to a rank {self.n} map"
+            )
+        image = _push(self.cols, t.vec.items())
         if self.out_order == 0:
             return image.get(0, MultiPoly.zero(self.gens))
         return t.algebra._tensor(self.out_order, image)
@@ -541,7 +525,9 @@ class FrobeniusAlgebra:
 
     `mul_cols` maps i*n + j to e_i e_j as a sparse {k: MultiPoly} column;
     it is stored as `mul_map` as given, after one ring check per entry.
-    `counit_vec` and the `symbols` values are dense coefficient lists.
+    `counit_vec` and the `symbols` values are given as dense coefficient
+    lists and checked by the element constructor; the counit is kept as
+    `counit_map` and the dense tuple `counit_vec`, the symbols as elements.
     Immutable after construction.  The Frobenius data is stored once, as the
     maps `mul_map`, `counit_map`, `pairing_map`, `dual_map` (column j is y_j)
     and `delta_one_map`; `mul_basis`, `dual_basis` and `delta_one` are views.
@@ -557,7 +543,10 @@ class FrobeniusAlgebra:
             raise ValueError("algebra rank must be at least 1")
 
         # The element constructor checks the rank and ring of every vector.
-        self.counit_vec = AlgebraElement(self, counit_vec).coeffs
+        counit = AlgebraElement(self, counit_vec)
+        self.counit_vec = counit.coeffs
+        self.counit_map = LinearMap(self.gens, n, 1, 0,
+                                    {j: {0: c} for j, c in counit.vec.items()})
         self.mul_map = LinearMap(self.gens, n, 2, 1, mul_cols)
         bad = next((c.gens for col in self.mul_map.cols.values()
                     for c in col.values() if c.gens != self.gens), None)
@@ -602,13 +591,11 @@ class FrobeniusAlgebra:
 
     @property
     def zero(self) -> AlgebraElement:
-        z = MultiPoly.zero(self.gens)
-        return AlgebraElement(self, (z,) * self.rank)
+        return self._element({})
 
     def basis_element(self, i: int) -> AlgebraElement:
-        coeffs = [MultiPoly.zero(self.gens)] * self.rank
-        coeffs[i] = MultiPoly.one(self.gens)
-        return AlgebraElement(self, coeffs)
+        # Indexed like a sequence of the basis: negative i counts from the end.
+        return self._element({range(self.rank)[i]: MultiPoly.one(self.gens)})
 
     def element(self, coeffs) -> AlgebraElement:
         return AlgebraElement(self, coeffs)
@@ -633,13 +620,8 @@ class FrobeniusAlgebra:
     # -- structure maps, each one column store built on first use -------------
 
     @cached_property
-    def counit_map(self) -> LinearMap:
-        return LinearMap(self.gens, self.rank, 1, 0,
-                         {j: {0: c} for j, c in enumerate(self.counit_vec)})
-
-    @cached_property
     def unit_map(self) -> LinearMap:
-        return LinearMap(self.gens, self.rank, 0, 1, {0: _vector(self.unit)})
+        return LinearMap(self.gens, self.rank, 0, 1, {0: self.unit.vec})
 
     @cached_property
     def pairing_map(self) -> LinearMap:
@@ -696,52 +678,46 @@ class FrobeniusAlgebra:
         """The elementary tensor u1 (x) ... (x) uk, expanded over the basis."""
         if not elems:
             raise ValueError("tensor needs at least one factor")
-        return self._tensor(len(elems), dict(self._elementary(elems)))
+        vec = self._own(elems[0]).vec
+        for u in elems[1:]:
+            vec = _kron(vec, self._own(u).vec, self.rank)
+        return self._tensor(len(elems), vec)
 
     def tensor_zero(self, order: int) -> TensorElement:
         return TensorElement(self, order, {})
 
-    def _own(self, u: AlgebraElement) -> AlgebraElement:
-        if not isinstance(u, AlgebraElement):
-            raise TypeError(f"expected AlgebraElement, got {type(u).__name__}")
+    def _own(self, u, kind=AlgebraElement, order: int = 1):
+        """u, checked to be a `kind` of this algebra and of this order."""
+        if not isinstance(u, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(u).__name__}")
         if u.algebra is not self:
-            kind = "rank" if u.algebra.rank != self.rank else "algebra"
+            what = "rank" if u.algebra.rank != self.rank else "algebra"
             raise ValueError(
-                f"{kind} mismatch: element of {u.algebra!r} used with {self!r}"
+                f"{what} mismatch: element of {u.algebra!r} used with {self!r}"
             )
+        if u.order != order:
+            raise ValueError(f"tensor order mismatch: {u.order} vs {order}")
         return u
 
-    def _elementary(self, elems) -> list:
-        """The nonzero (flat index, coefficient) pairs of u1 (x) ... (x) uk."""
-        n, pairs = self.rank, None
-        for u in elems:
-            leg = [(i, c) for i, c in enumerate(self._own(u).coeffs)
-                   if c._packed]
-            pairs = leg if pairs is None else [
-                (a * n + i, x * c) for a, x in pairs for i, c in leg
-            ]
-        return pairs
-
-    def _element(self, vector: dict) -> AlgebraElement:
-        """The element with these coefficients by basis index.  They are
-        entries of this algebra's structure maps, so they already lie in its
-        ring and the constructor's checks are skipped."""
-        zero = MultiPoly.zero(self.gens)
+    def _element(self, vec: dict) -> AlgebraElement:
+        """The element with sparse vector `vec`: a column of this algebra's
+        maps or a push through them, so in its ring with no zero entry, and
+        the constructor's checks are skipped."""
         u = object.__new__(AlgebraElement)
-        u.algebra = self
-        u.coeffs = tuple([vector.get(k, zero) for k in range(self.rank)])
+        u.algebra, u.vec = self, vec
         return u
 
-    def _tensor(self, order: int, vector: dict) -> TensorElement:
-        n = self.rank
-        return TensorElement(
-            self, order, {_unflat(k, n, order): c for k, c in vector.items()}
-        )
+    def _tensor(self, order: int, vec: dict) -> TensorElement:
+        """The tensor of this order with sparse vector `vec`, unchecked as
+        in `_element`."""
+        t = object.__new__(TensorElement)
+        t.algebra, t.order, t.vec = self, order, vec
+        return t
 
     def _apply(self, m: LinearMap, *elems):
         """m on u1 (x) ... (x) uk: the scalar, element or tensor for zero, one
         or more output legs."""
-        image = _push(m.cols, self._elementary(elems))
+        image = _push(m.cols, self.tensor(*elems).vec.items())
         if m.out_order == 1:
             return self._element(image)
         if m.out_order == 0:
@@ -800,7 +776,7 @@ class FrobeniusAlgebra:
         cols = self._symbol_times.get(name)
         if cols is None:
             cols = self._symbol_times[name] = self._mul_by_columns(
-                _vector(self._symbols[name]))
+                self._symbols[name].vec)
         return cols
 
     def _mul_by_columns(self, u: dict) -> dict:
@@ -822,23 +798,21 @@ class FrobeniusAlgebra:
         return f"{body}*{label}"
 
     def render_element(self, u: AlgebraElement) -> str:
-        parts = [
-            self._coeff_label_str(c, self.basis_labels[i])
-            for i, c in sorted(enumerate(u.coeffs), reverse=True)
-            if c
-        ]
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._render(u.vec, 1)
 
     def render_tensor(self, t: TensorElement) -> str:
-        parts = []
-        for idx in sorted(t.coeffs):
-            label = "⊗".join(self.basis_labels[i] for i in idx)
-            parts.append(self._coeff_label_str(t.coeffs[idx], label))
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._render(t.vec, t.order)
+
+    def _render(self, vec: dict, order: int) -> str:
+        """A sparse vector of A^(x)order: an element prints its highest
+        basis index first, a tensor its index tuples in increasing order."""
+        n, labels = self.rank, self.basis_labels
+        parts = [
+            self._coeff_label_str(
+                vec[k], "⊗".join(labels[i] for i in _unflat(k, n, order)))
+            for k in sorted(vec, reverse=order == 1)
+        ]
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self):
         gens = ",".join(self.gens) or "∅"
@@ -889,7 +863,7 @@ class FrobeniusAlgebra:
                 return mul.get(a * n + k, {})
             return _push(mul, [(a * n + k, c) for a, c in u.items()])
 
-        symbols = {name: _vector(u) for name, u in self._symbols.items()}
+        symbols = {name: u.vec for name, u in self._symbols.items()}
         products = {name: {} for name in symbols}
         reached = [0]
         for i in reached:
@@ -987,11 +961,11 @@ def algebra_from_modulus(generators, modulus, counit) -> FrobeniusAlgebra:
     powers = [{0: one}]
     for _ in range(2 * n - 2):
         powers.append(_push(times_x, powers[-1].items()))
-    x = _push(times_x, [(0, one)])
 
     labels = ["1"] + ["X" if k == 1 else f"X^{k}" for k in range(1, n)]
     mul_cols = {i * n + j: powers[i + j] for i in range(n) for j in range(n)}
-    symbols = {"X": [x.get(i, MultiPoly.zero(gens)) for i in range(n)]}
+    # X is e_1, or -m(0) * 1 at rank 1.
+    symbols = {"X": [-coeffs[0]] if n == 1 else [0, 1] + [0] * (n - 2)}
     return FrobeniusAlgebra(gens, labels, mul_cols, counit_vec, symbols=symbols)
 
 

@@ -149,9 +149,8 @@ def group_ring(orders, generators=()) -> GroupRingAlgebra:
 
 def hopf_delta(A: GroupRingAlgebra, u: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication, linearly extending g -> g (x) g."""
-    u = A._own(u)
-    coeffs = {(i, i): c for i, c in enumerate(u.coeffs) if c}
-    return TensorElement(A, 2, coeffs)
+    n = A.rank
+    return A._tensor(2, {i * n + i: c for i, c in A._own(u).vec.items()})
 
 
 def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:

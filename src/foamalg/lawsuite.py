@@ -112,9 +112,7 @@ def _render(A, col: dict, order: int) -> str:
     element or the tensor it is."""
     if order == 0:
         return str(col.get(0, MultiPoly.zero(A.gens)))
-    if order == 1:
-        return A.render_element(A._element(col))
-    return A.render_tensor(A._tensor(order, col))
+    return A._render(col, order)
 
 
 _HEAD = 16  # input columns walked before any support is computed

@@ -571,6 +571,16 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=message):
                 z * value
 
+    def test_apply_checks_the_rank(self):
+        # X (x) X of Z[X]/(X^2) has flat index 3, which a rank-3 map reads
+        # as (1, 0): X * 1 = X in Z[X]/(X^3), although X * X = 0 in the
+        # smaller algebra.
+        small = truncated_algebra(2)
+        x = small.parse_element("X")
+        with pytest.raises(ValueError, match="rank mismatch"):
+            truncated_algebra(3).mul_map.apply(small.tensor(x, x))
+        assert not small.mul_map.apply(small.tensor(x, x))
+
 
 class TestRenderers:
     """Elements print the highest basis index first, tensors in increasing

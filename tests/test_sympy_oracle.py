@@ -227,11 +227,11 @@ def test_element_arithmetic_is_arithmetic_mod_the_modulus(gens, data):
     lu, lv = ([D.from_sympy(c) for c in cs] for cs in (cu, cv))
     assert got_tensor(A.tensor(u, v)) == outer(lu, lv)
     assert got_tensor(A.tensor(u, v, u)) == outer(lu, lv, lu)
-    # (u (x) v + v (x) u) * (u (x) u) = u u (x) v u + v u (x) u u.
-    t = A.tensor(u, v) + A.tensor(v, u)
-    assert got_tensor(t * A.tensor(u, u)) == add(
-        outer(reduced(U * U), reduced(V * U)),
-        outer(reduced(V * U), reduced(U * U)))
+    # (u (x) v + v (x) v) * (v (x) u) = u v (x) v u + v v (x) v u.
+    t = A.tensor(u, v) + A.tensor(v, v)
+    assert got_tensor(t * A.tensor(v, u)) == add(
+        outer(reduced(U * V), reduced(V * U)),
+        outer(reduced(V * V), reduced(V * U)))
 
     # comul(u) = sum_i y_i (x) e_i u, with y_i read off column i of G^-1,
     # whose entries cancel to polynomials since det G is a unit.
