@@ -3,10 +3,12 @@
 An algebra is presented by its product on a chosen basis, given as sparse
 columns {i*n + j: {k: c}} (e_i e_j = sum_k c e_k, the form `mul_map`
 stores), together with the counit (Frobenius form) on basis elements.
-Construction derives the pairing, its Gram matrix and inverse, and the dual
-basis, each stored as a map, and validates the algebra axioms exactly:
+Construction derives the pairing and its Gram matrix, takes the dual basis
+from the constructor when it is known in closed form (quotients with the
+counit on the top power of X, group rings) and from the Gram inverse
+otherwise, stores each as a map, and validates the algebra axioms exactly:
 associativity by Light's test over a generating set, the rest on all basis
-tuples.
+tuples, a handed-over dual basis included.
 
 Every structure map (mul, comul, counit, unit, swap, identity, delta_one,
 and the branch maps built in `branchops`) is one `LinearMap`: a sparse
@@ -531,10 +533,14 @@ class FrobeniusAlgebra:
     Immutable after construction.  The Frobenius data is stored once, as the
     maps `mul_map`, `counit_map`, `pairing_map`, `dual_map` (column j is y_j)
     and `delta_one_map`; `mul_basis`, `dual_basis` and `delta_one` are views.
+    A constructor that knows the dual basis passes `dual`, the pair (columns
+    {j: y_j as a sparse column}, det(gram)); without it the dual basis is
+    the inverse of the Gram matrix from `unimodular_inverse`.  Validation
+    checks a handed-over dual basis as it checks a computed one.
     """
 
     def __init__(self, gens, basis_labels, mul_cols, counit_vec,
-                 symbols=None, validate: bool = True):
+                 symbols=None, validate: bool = True, dual=None):
         self.gens = tuple(gens)
         self.basis_labels = tuple(basis_labels)
         self.rank = len(self.basis_labels)
@@ -571,14 +577,17 @@ class FrobeniusAlgebra:
         self.gram = tuple(
             tuple(pairing.entry(0, i * n + j) for j in range(n)) for i in range(n)
         )
-        self.gram_det, inverse = unimodular_inverse(
-            [list(row) for row in self.gram], self.gens
-        )
-        # Column j of gram^{-1} holds the coordinates of y_j, so that
-        # counit(e_i * y_j) = delta_{ij}.
-        self.dual_map = LinearMap(self.gens, n, 1, 1, {
-            j: {k: row[j] for k, row in enumerate(inverse)} for j in range(n)
-        })
+        # Column j of dual_map holds the coordinates of y_j, so that
+        # counit(e_i * y_j) = delta_{ij}: the columns of gram^{-1}.
+        if dual is None:
+            self.gram_det, inverse = unimodular_inverse(
+                [list(row) for row in self.gram], self.gens
+            )
+            dual = {j: {k: row[j] for k, row in enumerate(inverse)}
+                    for j in range(n)}
+        else:
+            dual, self.gram_det = dual
+        self.dual_map = LinearMap(self.gens, n, 1, 1, dual)
 
         if validate:
             self._validate_frobenius()
@@ -896,26 +905,27 @@ class FrobeniusAlgebra:
 
     def _validate_frobenius(self):
         """counit(e_i * y_j) = delta_ij, and neck cutting
-        sum_i y_i counit(e_i * u) = u, on all basis elements."""
+        sum_i y_i counit(e_i * u) = u, on all basis elements.
+
+        Entry (i, j) of gram · dual is counit(e_i * y_j): column j is y_j
+        pushed through the columns of the Gram matrix.  The first failing
+        (i, j) in row-major order is reported."""
         n, gens = self.rank, self.gens
-        one = MultiPoly.one(gens)
-        stages = (_Kron(self.identity_map, self.dual_map),
-                  self.pairing_map.cols)
-        bad = _first_unequal_column(
-            lambda c: _column(stages, c),
-            lambda c: {} if c % (n + 1) else {0: one},  # c = i*n + j, i == j
-            range(n * n),
-        )
-        if bad is not None:
-            c, got, _ = bad
-            i, j = divmod(c, n)
-            raise DegenerateFormError(
-                f"dual basis check failed at ({i}, {j}): "
-                f"counit(e_{i} * y_{j}) = {got.get(0, MultiPoly.zero(gens))}"
-            )
+        one, zero = MultiPoly.one(gens), MultiPoly.zero(gens)
         gram = {u: {i: row[u] for i, row in enumerate(self.gram) if row[u]}
                 for u in range(n)}
-        stages = (gram, self.dual_map.cols)
+        dual = self.dual_map.cols
+        products = [_push(gram, dual.get(j, {}).items()) for j in range(n)]
+        bad = next(((i, j) for i in range(n) for j in range(n)
+                    if products[j].get(i, zero) != (one if i == j else zero)),
+                   None)
+        if bad is not None:
+            i, j = bad
+            raise DegenerateFormError(
+                f"dual basis check failed at ({i}, {j}): "
+                f"counit(e_{i} * y_{j}) = {products[j].get(i, zero)}"
+            )
+        stages = (gram, dual)
         bad = _first_unequal_column(
             lambda u: _column(stages, u), lambda u: {u: one}, range(n)
         )
@@ -934,6 +944,15 @@ def algebra_from_modulus(generators, modulus, counit) -> FrobeniusAlgebra:
     `modulus` lists the coefficients of the monic modulus, lowest degree
     first (length n+1 with final coefficient 1); `counit` gives the Frobenius
     form on the monomial basis.  Products reduce X^n against the modulus.
+
+    When the counit is u times the coefficient of X^(n-1), u = 1 or -1, the
+    dual basis is handed over in closed form (Euler's lemma for the trace
+    form of R[X]/(m); Mackaay and Vaz, "The universal sl3-link homology",
+    2007): y_j = u (m_(j+1) + m_(j+2) X + ... + m_n X^(n-1-j)), the Horner
+    quotients of m = m_0 + m_1 X + ... + m_n X^n, with m_n = 1.  The Gram
+    matrix is u times an anti-triangular Hankel matrix with ones on the
+    antidiagonal, so its determinant is (-1)^(n(n-1)/2) u^n.  Any other
+    counit goes through `unimodular_inverse`.
     """
     gens = tuple(generators)
 
@@ -966,7 +985,15 @@ def algebra_from_modulus(generators, modulus, counit) -> FrobeniusAlgebra:
     mul_cols = {i * n + j: powers[i + j] for i in range(n) for j in range(n)}
     # X is e_1, or -m(0) * 1 at rank 1.
     symbols = {"X": [-coeffs[0]] if n == 1 else [0, 1] + [0] * (n - 2)}
-    return FrobeniusAlgebra(gens, labels, mul_cols, counit_vec, symbols=symbols)
+    u = counit_vec[-1]
+    dual = None
+    if u.is_unit() and not any(counit_vec[:-1]):
+        dual = ({j: {k: u * coeffs[k + j + 1] for k in range(n - j)}
+                 for j in range(n)},
+                MultiPoly.const(gens, (-1) ** (n * (n - 1) // 2)
+                                * u.constant_value() ** n))
+    return FrobeniusAlgebra(gens, labels, mul_cols, counit_vec,
+                            symbols=symbols, dual=dual)
 
 
 def truncated_algebra(n: int) -> FrobeniusAlgebra:

@@ -95,7 +95,14 @@ def _element_label(group: FiniteAbelianGroup, index: int) -> str:
 
 
 class GroupRingAlgebra(FrobeniusAlgebra):
-    """A Frobenius algebra whose basis is a finite abelian group."""
+    """A Frobenius algebra whose basis is a finite abelian group.
+
+    The counit picks out the identity, so the Gram matrix is the permutation
+    matrix of g -> g^{-1}.  The dual basis y_g = g^{-1} is handed over, and
+    the Gram determinant is the sign of that involution, (-1) to the number
+    of pairs {g, g^{-1}} with g != g^{-1}.  Construction checks the dual
+    basis as it checks one from `unimodular_inverse`.
+    """
 
     def __init__(self, group: FiniteAbelianGroup, generators=()):
         self.group = group
@@ -109,12 +116,12 @@ class GroupRingAlgebra(FrobeniusAlgebra):
         # The generator of a cyclic factor has that factor's stride as index.
         symbols = {name: [one if a == stride else zero for a in range(n)]
                    for name, stride in zip(_GENERATOR_NAMES, group._strides)}
-        super().__init__(gens, labels, mul_cols, counit_vec, symbols=symbols)
-        for i in range(n):
-            if self.dual_map.cols.get(i) != {group.inverse(i): one}:
-                raise AssertionError(
-                    f"dual basis of element {labels[i]} is not its inverse"
-                )
+        inverse = [group.inverse(g) for g in range(n)]
+        swaps = sum(1 for g in range(n) if inverse[g] > g)
+        dual = ({g: {inverse[g]: one} for g in range(n)},
+                MultiPoly.const(gens, (-1) ** swaps))
+        super().__init__(gens, labels, mul_cols, counit_vec, symbols=symbols,
+                         dual=dual)
 
     @cached_property
     def augmentation_map(self) -> LinearMap:

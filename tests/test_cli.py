@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from types import SimpleNamespace
 
@@ -598,6 +599,59 @@ class TestConfig:
         code, out, err = run(capsys, "laws", "--algebra", str(config),
                              "--theta", "zero", "--suite", "antisym")
         assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("generators, counit, det", [
+        ([], ["0", "2"], "-4"), (["a"], ["0", "a"], "-a^2"),
+    ])
+    def test_non_unit_counits_are_refused(self, capsys, tmp_path,
+                                          generators, counit, det):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({
+            "generators": generators, "modulus": ["0", "0", "1"],
+            "counit": counit}))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "zero")
+        assert (code, out) == (2, "")
+        assert err == (f"error: config {str(config)!r}: degenerate or "
+                       f"non-unimodular Frobenius form: det(gram) = {det}\n")
+
+    @staticmethod
+    def univ_setup_config(rank, rng):
+        """X^N - sum_k (a_k + s_k) X^(N-k) over Z[a1..aN], shifts s_k drawn
+        from [-3, 3] without 0, with the counit on X^(N-1): the generic
+        configs of the benchmark's univ-setup workload."""
+        gens = [f"a{k}" for k in range(1, rank + 1)]
+        modulus = ["0"] * rank + ["1"]
+        for k in range(1, rank + 1):
+            s = rng.choice((-3, -2, -1, 1, 2, 3))
+            modulus[rank - k] = f"-a{k} - {s}" if s > 0 else f"-a{k} + {-s}"
+        return {"generators": gens, "modulus": modulus,
+                "counit": ["0"] * (rank - 1) + ["1"]}
+
+    def test_gram_inverse_runs_only_for_other_counits(self, inverse_calls,
+                                                      tmp_path):
+        """Quotients with the counit on X^(N-1) and group rings hand their
+        dual bases over; `unimodular_inverse` runs for any other counit."""
+        rng = random.Random("univ-setup:1")
+        configs = [self.univ_setup_config(rank, rng) for rank in (6, 7)]
+        configs.append({"generators": ["a", "b", "c"],
+                        "modulus": ["-c", "-b", "-a", "1"],
+                        "counit": ["0", "0", "-1"]})
+        specs = ["mv", "aN:2", "aN:3", "aN:15", "aN:64", "group:2",
+                 "group:3,4", "group:2,2,2,2,2,2"]
+        for i, config in enumerate(configs):
+            path = tmp_path / f"config{i}.json"
+            path.write_text(json.dumps(config))
+            specs.append(str(path))
+        for spec in specs:
+            cli.build_algebra(spec)
+        assert inverse_calls == []
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({"generators": [], "modulus": ["0", "0", "1"],
+                                    "counit": ["1", "1"]}))
+        algebra, _ = cli.build_algebra(str(path))
+        assert len(inverse_calls) == 1
+        assert algebra.gram_det == algebra.scalar(-1)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
     def test_config_must_be_an_object(self, capsys, tmp_path, text):

@@ -23,6 +23,7 @@ from foamalg.frobalg import (
 from foamalg.groupfoam import group_ring
 
 MV_GENS = ("a", "b", "c")
+AB = ("a", "b")
 
 
 @pytest.fixture(scope="module")
@@ -329,6 +330,77 @@ class TestDualBasis:
             for j in range(3):
                 value = mv.counit(mv.mul(mv.basis_element(i), mv.dual_basis[j]))
                 assert value == mv_poly("1" if i == j else "0")
+
+
+GEN_A, GEN_B = (MultiPoly.gen(AB, g) for g in AB)
+
+# Quotients whose counit is u * [X^(n-1)] with u = 1 or -1, and group rings:
+# the constructors hand their dual bases over in closed form.  The ranks
+# 2..9 give the sign (-1)^(n(n-1)/2) both values, and u = -1 meets both
+# parities of n.
+CLOSED_FORM_BUILDERS = {
+    "mv": mv_algebra,
+    **{f"aN:{n}": functools.partial(truncated_algebra, n)
+       for n in [*range(2, 10), 64]},
+    "rank1": lambda: algebra_from_modulus((), [3, 1], [1]),
+    "rank1 u=-1": lambda: algebra_from_modulus(AB, [GEN_A, 1], [-1]),
+    "rank2 u=-1": lambda: algebra_from_modulus((), [1, 0, 1], [0, -1]),
+    "rank4 u=-1": lambda: algebra_from_modulus(
+        AB, [GEN_A, GEN_B, GEN_A * GEN_B - 1, 2, 1], [0, 0, 0, -1]),
+    "rank5 u=-1": lambda: algebra_from_modulus(
+        AB, [1, GEN_B, 0, -GEN_A, GEN_A + 3, 1], [0, 0, 0, 0, -1]),
+    **{f"group:{','.join(map(str, orders))}":
+       functools.partial(group_ring, orders)
+       for orders in [[2], [3], [4], [2, 3], [3, 5], [2] * 6]},
+}
+
+
+def eliminated_dual(A):
+    """(dual columns, det) as `unimodular_inverse` finds them from the Gram
+    matrix: column j of the inverse is y_j."""
+    det, inv = unimodular_inverse([list(row) for row in A.gram], A.gens)
+    cols = {j: {k: row[j] for k, row in enumerate(inv) if row[j]}
+            for j in range(A.rank)}
+    return {j: col for j, col in cols.items() if col}, det
+
+
+class TestClosedFormDual:
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_BUILDERS))
+    def test_closed_forms_equal_elimination(self, name, inverse_calls):
+        A = CLOSED_FORM_BUILDERS[name]()
+        assert inverse_calls == []
+        assert (A.dual_map.cols, A.gram_det) == eliminated_dual(A)
+
+    # y_0 + X fails at (1, 0) and (2, 0).  With y_2 + X^2 as well, (0, 2)
+    # fails too and is reported, since it comes first in row-major order.
+    @pytest.mark.parametrize("extra, message", [
+        ({0: {1: "1"}}, "dual basis check failed at (1, 0): "
+                        "counit(e_1 * y_0) = -1"),
+        ({0: {1: "1"}, 2: {2: "1"}}, "dual basis check failed at (0, 2): "
+                                     "counit(e_0 * y_2) = -1"),
+        ({1: {0: "a"}}, "dual basis check failed at (2, 1): "
+                        "counit(e_2 * y_1) = -a"),
+    ])
+    def test_handed_over_dual_is_checked(self, mv, extra, message):
+        """A wrong dual handed to the constructor fails the check that a
+        computed one goes through, at the first (i, j) in row-major order
+        where counit(e_i * y_j), read off mv's own arithmetic, is not
+        delta_ij."""
+        n, one = mv.rank, mv_poly("1")
+        dual = [mv.dual_basis[j] + mv.element(
+            [mv_poly(extra.get(j, {}).get(k, "0")) for k in range(n)])
+            for j in range(n)]
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if mv.counit(mv.basis_element(i) * dual[j])
+                    != (one if i == j else mv_poly("0")))
+        want = (f"dual basis check failed at ({i}, {j}): counit(e_{i} * "
+                f"y_{j}) = {mv.counit(mv.basis_element(i) * dual[j])}")
+        assert want == message
+        with pytest.raises(DegenerateFormError, match=re.escape(message)):
+            FrobeniusAlgebra(MV_GENS, mv.basis_labels, mv.mul_map.cols,
+                             mv.counit_vec,
+                             dual=({j: y.vec for j, y in enumerate(dual)},
+                                   mv.gram_det))
 
 
 class TestDeltaOne:
@@ -843,9 +915,6 @@ class TestColumnsOnDemand:
         v = [mv.parse_element(s) for s in ("X - 2", "b*X^2 + a", "X + c")]
         got = mv.tensor(*u[:order]) * mv.tensor(*v[:order])
         assert got == mv.tensor(*(x * y for x, y in zip(u, v[:order])))
-
-
-AB = ("a", "b")
 
 
 def matmul(x, y, gens):

@@ -85,11 +85,9 @@ def gram_oracle(modulus, counit):
     return sympy.Matrix(n, n, eps)
 
 
-@pytest.mark.parametrize("gens", list(RINGS))
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_gram_inverse_dual_basis_and_handle(gens, data):
-    modulus, counit = data.draw(algebras(gens))
+def check_gram_inverse(gens, modulus, counit):
+    """The Gram matrix, its determinant and inverse, the dual basis and the
+    handle scalar of Z[gens][X]/(m) with this counit, against sympy."""
     A = build(gens, modulus, counit)
     symbols, n = RINGS[gens], A.rank
     G = gram_oracle(modulus, counit)
@@ -112,6 +110,27 @@ def test_gram_inverse_dual_basis_and_handle(gens, data):
                               for i in range(n) for j in range(n)))
     assert handle == n
     assert to_sympy(A.handle_scalar(), symbols) == handle
+
+
+@pytest.mark.parametrize("gens", list(RINGS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_gram_inverse_dual_basis_and_handle(gens, data):
+    check_gram_inverse(gens, *data.draw(algebras(gens)))
+
+
+# The top form -[X^2] takes the closed-form dual.  The shifted form
+# u -> t(X u), unimodular since m(0) = 1, takes the Gram inverse.
+@pytest.mark.parametrize("gens, modulus, counit, eliminated", [
+    (("a", "b"), ["a", "b", "a*b - 1", "1"], ["0", "0", "-1"], 0),
+    (("a", "b"), ["1", "a", "b", "1"], ["0", "1", "-b"], 1),
+])
+def test_gram_inverse_on_each_dual_path(inverse_calls, gens, modulus, counit,
+                                        eliminated):
+    symbols = dict(zip(gens, RINGS[gens]))
+    check_gram_inverse(gens, *([sympy.sympify(c, locals=symbols) for c in v]
+                               for v in (modulus, counit)))
+    assert len(inverse_calls) == eliminated
 
 
 def coefficients(expr, n):
