@@ -33,7 +33,8 @@ from .thetafoam import ThetaTable
 class BranchContext:
     """A Frobenius algebra paired with a rank-matching theta table.
 
-    Immutable; the bracket and cocomul maps are built on first use.
+    Immutable; the bracket and cocomul maps, and the diagram compiler, are
+    built on first use.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra, theta: ThetaTable):
@@ -44,6 +45,13 @@ class BranchContext:
             )
         self.algebra = algebra
         self.theta = theta.embed(algebra.gens)
+
+    @cached_property
+    def compiler(self):
+        """The one `foamlang.Compiler` over this context, which every law
+        and diagram compiled on it shares."""
+        from .foamlang import Compiler  # foamlang imports this module
+        return Compiler(self)
 
     # -- structure maps, each one column store built on first use -------------
 

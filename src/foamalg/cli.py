@@ -16,8 +16,7 @@ import sys
 from . import __version__
 from .branchops import BranchContext
 from .coeffring import _tokenize, parse_poly
-from .foamlang import ArityError, ParseError, eval_closed, parse, typecheck, \
-    compile_diagram
+from .foamlang import ArityError, ParseError, compile_diagram, parse
 from .frobalg import FrobeniusAlgebra, algebra_from_modulus, mv_algebra, \
     truncated_algebra
 from .groupfoam import GroupRingAlgebra, derive_bialgebra_theta, group_ring
@@ -239,19 +238,18 @@ def cmd_eval(args) -> int:
                 source = fh.read()
         except OSError as exc:
             raise SpecError(f"cannot read expression file: {exc}") from exc
-    expr = parse(source)
-    arity = typecheck(expr)
-    if arity == (0, 0):
-        value = eval_closed(expr, ctx)
+    matrix = compile_diagram(parse(source), ctx)
+    arity = [matrix.in_order, matrix.out_order]
+    if arity == [0, 0]:
+        value = str(matrix.entry(0, 0))
         if args.format == "json":
-            print(json.dumps({"arity": [0, 0], "value": str(value)}, indent=2))
+            print(json.dumps({"arity": arity, "value": value}, indent=2))
         else:
-            print(str(value))
+            print(value)
         return 0
-    matrix = compile_diagram(expr, ctx)
     if args.format == "json":
         print(json.dumps(
-            {"arity": list(arity), "matrix": matrix.to_strings()}, indent=2,
+            {"arity": arity, "matrix": matrix.to_strings()}, indent=2,
         ))
     else:
         print(f"arity: {arity[0]} -> {arity[1]}")

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Optional
+from weakref import proxy
 
 from .branchops import GENERATORS, BranchContext, LinearMap
 from .frobalg import _Kron, _column, _push
@@ -263,26 +264,32 @@ def pretty(e: DiagramExpr) -> str:
 def typecheck(e: DiagramExpr) -> tuple[int, int]:
     """Return (in_arity, out_arity); raise ArityError if composition
     breaks."""
+    return _shape(e)[:2]
+
+
+def _shape(e: DiagramExpr) -> tuple[int, int, int]:
+    """(inputs, outputs, w) of `e`, where w is the most legs that one column
+    in flight through it has; raise ArityError, at the first composition
+    whose arities do not chain, if any.  A tensor's columns are made from
+    its parts' columns, so inside it only one part's legs are in flight at
+    a time."""
     if isinstance(e, Generator):
-        return GENERATOR_ARITIES[e.name]
+        ins, outs = GENERATOR_ARITIES[e.name]
+        return ins, outs, max(ins, outs)
     if isinstance(e, Tensor):
-        ins, outs = 0, 0
-        for p in e.parts:
-            i, o = typecheck(p)
-            ins += i
-            outs += o
-        return ins, outs
+        ins, outs, widths = zip(*map(_shape, e.parts))
+        return sum(ins), sum(outs), max(sum(ins), sum(outs), *widths)
     if isinstance(e, Compose):
-        first_in, prev_out = typecheck(e.parts[0])
+        first_in, prev_out, legs = _shape(e.parts[0])
         for p in e.parts[1:]:
-            i, o = typecheck(p)
+            i, o, w = _shape(p)
             if i != prev_out:
                 raise ArityError(
                     f"arity mismatch in composition: previous output {prev_out} "
                     f"does not match input {i}", p.pos,
                 )
-            prev_out = o
-        return first_in, prev_out
+            prev_out, legs = o, max(legs, w)
+        return first_in, prev_out, legs
     raise TypeError(f"not a diagram expression: {e!r}")
 
 
@@ -311,7 +318,7 @@ def _check_label_degrees(e: DiagramExpr) -> None:
 MAX_MATRIX_CELLS = 2 ** 20
 """Largest n^(i+w) that `compile_diagram` accepts at rank n, where i is the
 diagram's inputs and w the most legs that one column in flight has
-(`_width`).  The diagram's n^i input columns are pushed through it, and a
+(`_shape`).  The diagram's n^i input columns are pushed through it, and a
 column on k legs has at most n^k entries, so the bound covers the printed
 matrix of an open diagram (`eval` prints all its n^(i+o) cells) and every
 column in flight.  A tensor is never built whole, so `id * bmul`, with n^5
@@ -321,20 +328,6 @@ diagram has at most three legs in flight and evaluates up to rank 101.  On
 outputs pass and `id*id*id*id*id*id*id` (seven and seven) is refused.  The
 check runs before any map is built, so an oversized diagram fails at once
 instead of exhausting memory."""
-
-
-def _width(e: DiagramExpr) -> tuple[int, int, int]:
-    """(inputs, outputs, w) of a well-typed expression, where w is the most
-    legs that one column in flight through it has.  A tensor's columns are
-    made from its parts' columns, so inside it only one part's legs are in
-    flight at a time."""
-    if isinstance(e, Generator):
-        ins, outs = GENERATOR_ARITIES[e.name]
-        return ins, outs, max(ins, outs)
-    ins, outs, widths = zip(*map(_width, e.parts))
-    if isinstance(e, Tensor):
-        return sum(ins), sum(outs), max(sum(ins), sum(outs), *widths)
-    return ins[0], outs[-1], max(widths)
 
 
 def _stage(factors: list):
@@ -390,20 +383,11 @@ class _Chain:
         return _support(self.first)
 
 
-@lru_cache(maxsize=256)
-def _permuter(perm: tuple, n: int):
-    """c -> the flat index of (x[perm[0]], ..., x[perm[-1]]), for x the
-    legs at flat index c."""
-    k = len(perm)
-    weights = [n ** (k - 1 - perm.index(s)) for s in reversed(range(k))]
-
-    def permute(c: int) -> int:
-        out = 0
-        for w in weights:
-            c, x = divmod(c, n)
-            out += x * w
-        return out
-    return permute
+def _rotation(s: int, k: int, n: int):
+    """c -> the flat index of the legs (x_s, ..., x_k-1, x_0, ..., x_s-1),
+    for x the k legs at flat index c; the rotation by k - s inverts it."""
+    low, high = n ** (k - s), n ** s
+    return lambda c: c % low * high + c // low
 
 
 class Side:
@@ -411,7 +395,7 @@ class Side:
     column c, `support()` the set (or a dict's keys) of the columns that can
     be nonzero, or None when every one can, and `outputs` the diagrams'
     outputs.  A term is (coefficient, column function giving dicts,
-    factors, the map of the factors' columns to the side's or None)."""
+    factors, the rotation of the factors' columns to the side's or None)."""
 
     def __init__(self, terms, gens, outputs):
         self.terms, self.outputs = terms, outputs
@@ -446,13 +430,16 @@ def _parsed(text: str):
 class Compiler:
     """Compiles diagrams over one context to column sources.
 
+    A context has one, `BranchContext.compiler`, that every law and diagram
+    on it shares; it holds the context weakly, so that the pair is freed
+    as soon as the context is dropped, not by the cycle collector.
     Identical subtrees are compiled once, keyed by their source text, so
     their columns are made once however often they are read; `mul ; counit`
     is the stored pairing.
     """
 
     def __init__(self, ctx: BranchContext):
-        self.ctx = ctx
+        self.ctx = proxy(ctx)
         self.memo = {"mul ; counit": [ctx.algebra.pairing_map]}
 
     def factors(self, node) -> list:
@@ -474,49 +461,44 @@ class Compiler:
         return ctx.linear_map(node.name)
 
     def side(self, terms) -> Side:
-        """The column source of sum_k a_k * d_k(x_P_k) for `terms` of
-        (a_k, P_k or None, source of d_k): d_k takes the input legs x in
-        the order P_k.  A diagram that only one term reads does not keep
-        its columns, since the walk reads each once."""
+        """The column source of sum_t a_t * d_t(x_s, ..., x_k-1, x_0, ...,
+        x_s-1), s = s_t, for `terms` of (a_t, s_t, source of d_t) on k
+        input legs x: d_t takes the legs rotated by s_t (`_rotation`).  A
+        diagram that only one term reads does not keep its columns, since
+        the walk reads each once."""
         parsed = [_parsed(text) for _, _, text in terms]
         keys = [key for _, _, key in parsed]
         n, out = self.ctx.algebra.rank, []
-        for (a, perm, _), (tree, _, key) in zip(terms, parsed):
+        for (a, s, _), (tree, (k, _), key) in zip(terms, parsed):
             factors = self.factors(tree)
             source = _stage(factors)
             if isinstance(source, _Chain):
                 fetch = source.make if keys.count(key) == 1 else source.get
             else:  # a map's columns or a `_Kron`: None for a zero column
                 fetch = lambda c, get=source.get: get(c) or {}
-            back = perm and _permuter(  # the inverse permutation
-                tuple(sorted(range(len(perm)), key=perm.__getitem__)), n)
-            if perm:
-                fetch = lambda c, f=fetch, p=_permuter(perm, n): f(p(c))
+            back = _rotation(k - s, k, n) if s else None
+            if s:
+                fetch = lambda c, f=fetch, r=_rotation(s, k, n): f(r(c))
             out.append((a, fetch, factors, back))
         return Side(out, self.ctx.algebra.gens,
                     parsed[0][1][1] if parsed else None)
 
 
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
-    """Compile a well-typed expression to its exact matrix.
+    """Compile an expression to its exact matrix.
 
     Generators become their matrices; a tensor and a composition become
     column sources (`_stage`, `_Chain`) whose columns are made from their
     parts' columns when read, as Kronecker products or by pushing through
     the parts in turn, a composition's kept.  The result reads its n^in
     input columns, so nothing is made that they do not need: a closed
-    diagram makes only what its one column passes through.  Raises
-    ValueError, before building anything, when the diagram exceeds
-    MAX_MATRIX_CELLS.
+    diagram makes only what its one column passes through.  Subtrees are
+    compiled by the context's one `Compiler`.  Raises ArityError on an
+    ill-typed expression and ValueError, before building anything, when the
+    diagram exceeds MAX_MATRIX_CELLS.
     """
-    return _compile(e, ctx, typecheck(e))
-
-
-def _compile(e: DiagramExpr, ctx: BranchContext,
-             arity: tuple[int, int]) -> LinearMap:
-    """`compile_diagram` for a tree already typechecked to `arity`."""
-    A = ctx.algebra
-    n, ins, legs = A.rank, arity[0], _width(e)[2]
+    A, (ins, outs, legs) = ctx.algebra, _shape(e)
+    n = A.rank
     cells = n ** (ins + legs)
     if cells > MAX_MATRIX_CELLS:
         raise ValueError(
@@ -524,9 +506,9 @@ def _compile(e: DiagramExpr, ctx: BranchContext,
             f"{n}^{ins + legs} = {cells} matrix cells at rank {n}, more than "
             f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
-    whole = _stage(Compiler(ctx).factors(e))
+    whole = _stage(ctx.compiler.factors(e))
     cols = {c: whole.get(c) or {} for c in range(n ** ins)}
-    return LinearMap(A.gens, n, *arity, cols)
+    return LinearMap(A.gens, n, ins, outs, cols)
 
 
 def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:
@@ -537,4 +519,4 @@ def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:
             f"expression is not closed: arity {arity}",
             getattr(e, "pos", None),
         )
-    return _compile(e, ctx, arity).entry(0, 0)
+    return compile_diagram(e, ctx).entry(0, 0)

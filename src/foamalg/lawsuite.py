@@ -1,10 +1,11 @@
 """Exhaustive verification of the algebraic laws on basis tuples.
 
 Every law is one equation lhs == rhs in the table `LAWS`, each side a signed
-sum of diagrams in `foamlang`'s language.  `foamlang.Compiler` compiles the
-sides to column sources, and `frobalg._first_unequal_column` compares them
-one input column, that is one basis tuple, at a time in flat order, up to
-the first column where they differ.  Only the columns where a side can be
+sum of diagrams in `foamlang`'s language.  The context's one
+`foamlang.Compiler` compiles the sides to column sources, and
+`frobalg._first_unequal_column` compares them one input column, that is one
+basis tuple, at a time in flat order, up to the first column where they
+differ.  Only the columns where a side can be
 nonzero are read, and cases are counted as if every column had been.  The
 skein identities 1-3 walk on past unequal columns to report the first
 unequal entry in row-major order.  Every check is complete over basis
@@ -25,7 +26,6 @@ from itertools import chain
 
 from .branchops import BranchContext
 from .coeffring import MultiPoly
-from .foamlang import Compiler
 from .frobalg import FrobeniusAlgebra, _first_unequal_column, _unflat
 from .thetafoam import ThetaTable
 
@@ -60,47 +60,46 @@ class LawReport:
 
 
 # Each law: its number of inputs, its lhs and its rhs.  A side is a list of
-# terms (a, P, d): a coefficient, a permutation of the input legs or None,
-# and a diagram, mapping inputs (x_0, ..., x_k-1) to a * d(x_P0, ..., x_Pk-1).
-# The skein laws are stated for D, either leg convention of the
-# co-operation; the bialgebra laws use the augmentation `aug` and the
-# diagonal `diag` of a group ring.
+# terms (a, s, d): a coefficient, a rotation of the k input legs and a
+# diagram, mapping inputs (x_0, ..., x_k-1) to
+# a * d(x_s, ..., x_k-1, x_0, ..., x_s-1).  Every reordering the laws need
+# is such a rotation.  The skein laws are stated for D, either leg
+# convention of the co-operation; the bialgebra laws use the augmentation
+# `aug` and the diagonal `diag` of a group ring.
 _F = "(id * {D}) ; (bmul * id)"
 _E = "(mul ; counit) ; delta_one"
 LAWS = {
-    "antisymmetry": (2, [(1, None, "bmul")], [(-1, (1, 0), "bmul")]),
-    "jacobi": (3, [(1, p, "(id * bmul) ; bmul")
-                   for p in (None, (2, 0, 1), (1, 2, 0))], []),
-    "cocomul_two_sided": (1, [(1, None, "bcomul")],
-                          [(1, None, "(delta_one * id) ; (id * bmul)")]),
-    "theta_trace": (3, [(1, None, "theta")],
-                    [(1, None, "(id * bmul) ; (mul ; counit)")]),
+    "antisymmetry": (2, [(1, 0, "bmul")], [(-1, 1, "bmul")]),
+    "jacobi": (3, [(1, s, "(id * bmul) ; bmul") for s in (0, 2, 1)], []),
+    "cocomul_two_sided": (1, [(1, 0, "bcomul")],
+                          [(1, 0, "(delta_one * id) ; (id * bmul)")]),
+    "theta_trace": (3, [(1, 0, "theta")],
+                    [(1, 0, "(id * bmul) ; (mul ; counit)")]),
     "delta_one_resolution": (
-        1, [(1, None, "(delta_one * id) ; (id * (mul ; counit))")],
-        [(1, None, "id")]),
-    "skein_identity_1": (2, [(1, None, _F)],
-                         [(1, None, _E), (-1, None, "swap")]),
-    "skein_identity_2": (2, [(1, None, f"({_F}) ; ({_F})")],
-                         [(1, None, "id * id"), (1, None, _E)]),
-    "skein_identity_3": (1, [(1, None, "{D} ; bmul")], [(2, None, "id")]),
-    "skein_pointwise_kernel": (2, [(1, None, _F)],
-                               [(1, None, "swap"), (1, None, _E)]),
-    "cocomul equals diagonal": (1, [(1, None, "bcomul")], [(1, None, "diag")]),
-    "compatibility": (2, [(1, None, "mul ; bcomul")], [(1, None, (
+        1, [(1, 0, "(delta_one * id) ; (id * (mul ; counit))")],
+        [(1, 0, "id")]),
+    "skein_identity_1": (2, [(1, 0, _F)], [(1, 0, _E), (-1, 0, "swap")]),
+    "skein_identity_2": (2, [(1, 0, f"({_F}) ; ({_F})")],
+                         [(1, 0, "id * id"), (1, 0, _E)]),
+    "skein_identity_3": (1, [(1, 0, "{D} ; bmul")], [(2, 0, "id")]),
+    "skein_pointwise_kernel": (2, [(1, 0, _F)],
+                               [(1, 0, "swap"), (1, 0, _E)]),
+    "cocomul equals diagonal": (1, [(1, 0, "bcomul")], [(1, 0, "diag")]),
+    "compatibility": (2, [(1, 0, "mul ; bcomul")], [(1, 0, (
         "(bcomul * bcomul) ; (id * swap * id) ; (mul * mul)"))]),
-    "counit law (left)": (1, [(1, None, "bcomul ; (aug * id)")],
-                          [(1, None, "id")]),
-    "counit law (right)": (1, [(1, None, "bcomul ; (id * aug)")],
-                           [(1, None, "id")]),
+    "counit law (left)": (1, [(1, 0, "bcomul ; (aug * id)")], [(1, 0, "id")]),
+    "counit law (right)": (1, [(1, 0, "bcomul ; (id * aug)")],
+                           [(1, 0, "id")]),
 }
 
 
-def sides(compiler: Compiler, law: str, sign: int = 1, D: str = ""):
-    """The (lhs, rhs) column sources of a law of `LAWS`, with the rhs times
-    `sign` and D put into its diagrams."""
+def sides(ctx: BranchContext, law: str, sign: int = 1, D: str = ""):
+    """The (lhs, rhs) column sources of a law of `LAWS` over `ctx`, with
+    the rhs times `sign` and D put into its diagrams."""
     _, lhs, rhs = LAWS[law]
-    return (compiler.side([(a, p, d.format(D=D)) for a, p, d in lhs]),
-            compiler.side([(sign * a, p, d.format(D=D)) for a, p, d in rhs]))
+    compiler = ctx.compiler
+    return (compiler.side([(a, s, d.format(D=D)) for a, s, d in lhs]),
+            compiler.side([(sign * a, s, d.format(D=D)) for a, s, d in rhs]))
 
 
 def _labels(algebra, *indices):
@@ -163,8 +162,7 @@ def _compare(A, pair, in_order: int):
 
 def _law_report(law: str, ctx: BranchContext) -> LawReport:
     """The report of a law of `LAWS`, one case per column."""
-    cases, cx = _compare(ctx.algebra, sides(Compiler(ctx), law),
-                         LAWS[law][0])
+    cases, cx = _compare(ctx.algebra, sides(ctx, law), LAWS[law][0])
     return LawReport(law=law, passed=cx is None, checked_cases=cases,
                      counterexample=cx)
 
@@ -244,16 +242,15 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
     when the -counit form holds instead.
     """
     A, n = ctx.algebra, ctx.algebra.rank
-    compiler = Compiler(ctx)
     reports: list[LawReport] = []
     for variant, D in (("cocomul_skein", "bcomul_skein"),
                        ("cocomul", "bcomul")):
         for law, order in (("skein_identity_1", 2), ("skein_identity_2", 2),
                            ("skein_identity_3", 1)):
-            cx = _first_unequal_entry(A, sides(compiler, law, D=D), order)
+            cx = _first_unequal_entry(A, sides(ctx, law, D=D), order)
             note = None
             if cx is not None and law in _SKEIN_NOTES and _walk(
-                    sides(compiler, law, -1, D), n ** order) is None:
+                    sides(ctx, law, -1, D), n ** order) is None:
                 note = _SKEIN_NOTES[law]
             reports.append(LawReport(
                 law=law, variant=variant, passed=cx is None,
@@ -262,10 +259,10 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
 
     # Pointwise kernel identity, F == swap + E with F from the plain cocomul
     # convention; every pair is a case, and the first unequal one is shown.
-    _, cx = _compare(A, sides(compiler, "skein_pointwise_kernel",
+    _, cx = _compare(A, sides(ctx, "skein_pointwise_kernel",
                               D="bcomul"), 2)
     note = None
-    if cx is not None and _walk(sides(compiler, "skein_identity_1", -1,
+    if cx is not None and _walk(sides(ctx, "skein_identity_1", -1,
                                       "bcomul"), n * n) is None:
         note = ("holds with the opposite counit sign: "
                 "lhs = e_j⊗e_i - counit(e_i*e_j)*delta_one")

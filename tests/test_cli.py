@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from foamalg import __version__, cli, groupfoam, lawsuite
+from foamalg import __version__, cli, foamlang, groupfoam, lawsuite
 from foamalg.cli import MAX_TRUNCATED_RANK, main
 from foamalg.coeffring import MAX_EXPONENT
 from foamalg.foamlang import MAX_MATRIX_CELLS
@@ -139,6 +139,26 @@ class TestEval:
                              "--expr", "unit ; counit")
         assert code == 0
         assert out.strip() == "0"
+
+    @pytest.mark.parametrize("expr, arity", [
+        ("comul ; mul", [1, 1]),
+        ("(unit ; label(X)) * (unit ; label(X)) * unit ; theta", [0, 0]),
+    ], ids=["open", "closed"])
+    def test_one_compile_per_request(self, capsys, monkeypatch, expr, arity):
+        """`eval` compiles the diagram once, and reads its arity off the
+        compiled map, open or closed."""
+        compile_diagram, calls = foamlang.compile_diagram, []
+
+        def counted(*args):
+            calls.append(args)
+            return compile_diagram(*args)
+
+        monkeypatch.setattr(foamlang, "compile_diagram", counted)
+        monkeypatch.setattr(cli, "compile_diagram", counted)
+        code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta",
+                             "mv", "--format", "json", "--expr", expr)
+        assert (code, err, len(calls)) == (0, "", 1)
+        assert json.loads(out)["arity"] == arity
 
     def test_arity_error(self, capsys):
         code, out, err = run(capsys, "eval", "--algebra", "mv", "--theta", "mv",
@@ -449,6 +469,10 @@ class TestReport:
          "a3d4a37a668e38b53d1ac033bf91bf93347c7b9555c44832d22295a900d26f78"),
         ("group:2,4", "zero", 1,
          "9239b871718c46412635b221e4321168a74488250330a819fdf771e4cc03d6bd"),
+        ("aN:15", "lie", 1,
+         "59b29c18b3bfc43f196ddbf4c0ab79bd6b909035823be06f839d45f527ecbb4c"),
+        ("group:2,2,2,2", "group", 1,
+         "89da946e02ae17a6f953701837f5abfbb055f041c4e868b9bfe2b32b3556f9d1"),
     ])
     def test_golden_digest(self, capsys, algebra, theta, code, digest):
         got, out, err = run(capsys, "report", "--algebra", algebra,

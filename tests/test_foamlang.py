@@ -14,13 +14,17 @@ from foamalg.foamlang import (
     Generator,
     ParseError,
     Tensor,
+    _rotation,
     compile_diagram,
     eval_closed,
     parse,
     pretty,
     typecheck,
 )
-from foamalg.frobalg import mv_algebra, truncated_algebra
+from foamalg.frobalg import _unflat, mv_algebra, truncated_algebra
+from foamalg.groupfoam import GroupRingAlgebra, derive_bialgebra_theta, \
+    group_ring
+from foamalg.lawsuite import run_suite
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
 
@@ -408,7 +412,7 @@ class TestInterchange:
 
 class TestColumnSources:
     """`Compiler`, the column-source layer that compiles law sides: its
-    reported supports, its permuted terms, and the `theta` and `delta_one`
+    reported supports, its rotated terms, and the `theta` and `delta_one`
     generators, on `mv`."""
 
     exprs = TestRoundTrip.exprs
@@ -424,14 +428,13 @@ class TestColumnSources:
         return (ins, outs) if ins + outs <= 5 else None
 
     @settings(max_examples=60, deadline=None)
-    @given(exprs, st.booleans())
-    def test_columns_outside_the_support_are_zero(self, mv_ctx, e, permute):
+    @given(exprs, st.data())
+    def test_columns_outside_the_support_are_zero(self, mv_ctx, e, data):
         arity = self.small(e)
         assume(arity is not None)
         ins = arity[0]
-        perm = tuple(reversed(range(ins))) if permute and ins > 1 else None
-        side = Compiler(mv_ctx).side(
-            [(1, perm, pretty(e)), (-2, None, pretty(e))])
+        s = data.draw(st.integers(0, max(ins - 1, 0)), label="rotation")
+        side = mv_ctx.compiler.side([(1, s, pretty(e)), (-2, 0, pretty(e))])
         support = side.support()
         if support is None:
             return
@@ -440,10 +443,10 @@ class TestColumnSources:
                 assert side.get(c) == {}
 
     def test_permuted_term(self, mv_ctx):
-        """A term (a, P, d) maps (x_0, x_1) to a * d(x_P0, x_P1)."""
+        """A term (a, s, d) with s = 1 maps (x_0, x_1) to a * d(x_1, x_0)."""
         A = mv_ctx.algebra
         n = A.rank
-        side = Compiler(mv_ctx).side([(3, (1, 0), "bmul")])
+        side = mv_ctx.compiler.side([(3, 1, "bmul")])
         m = mv_ctx.bracket_map
         for i in range(n):
             for j in range(n):
@@ -468,3 +471,55 @@ class TestColumnSources:
         ctx = make_ctx()
         assert compile_diagram(parse("delta_one"), ctx) == \
             compile_diagram(parse("unit ; comul"), ctx)
+
+
+class TestRotation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rotation_reorders_the_legs(self, n):
+        """Rotation by s sends the k legs x at column c to (x_s, ..., x_k-1,
+        x_0, ..., x_s-1), and the rotation by k - s undoes it."""
+        for k in range(1, 5):
+            for s in range(k):
+                rotate, back = _rotation(s, k, n), _rotation(k - s, k, n)
+                for c in range(n ** k):
+                    x = _unflat(c, n, k)
+                    want = reduce(lambda acc, d: acc * n + d, x[s:] + x[:s], 0)
+                    assert rotate(c) == want, (k, s, c)
+                    assert back(want) == c, (k, s, c)
+
+
+def group_ctx():
+    A = group_ring([2, 2, 2])
+    return BranchContext(A, derive_bialgebra_theta(A))
+
+
+class TestSharedCompiler:
+    """Every law and diagram on a context is compiled by the context's one
+    `Compiler`, each subtree once."""
+
+    @pytest.mark.parametrize("make_ctx", [
+        lambda: BranchContext(truncated_algebra(7), lie_theta(7)),
+        group_ctx,
+    ], ids=["aN:7/lie", "group:2,2,2/group"])
+    def test_one_compiler_per_context(self, monkeypatch, make_ctx):
+        ctx = make_ctx()
+        init, make = Compiler.__init__, Compiler._make
+        contexts, made = [], []
+
+        def counted_init(self, ctx):
+            contexts.append(ctx)
+            init(self, ctx)
+
+        def counted_make(self, node):
+            made.append((id(self), pretty(node)))
+            return make(self, node)
+
+        monkeypatch.setattr(Compiler, "__init__", counted_init)
+        monkeypatch.setattr(Compiler, "_make", counted_make)
+        reports = run_suite(ctx)
+        # The delta_one suite checks neck cutting on a zero-theta context of
+        # its own, the one other compiler.
+        assert [c is ctx for c in contexts] == [True, False]
+        assert made and len(made) == len(set(made))
+        assert any(r.law == "bialgebra" for r in reports) == \
+            isinstance(ctx.algebra, GroupRingAlgebra)
