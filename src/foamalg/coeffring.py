@@ -119,7 +119,7 @@ class MultiPoly:
         canon: dict[int, int] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(operator.index, exps))
             if len(exps) != width:
                 raise ValueError(
                     f"exponent vector {exps} has length {len(exps)}, "
@@ -133,7 +133,7 @@ class MultiPoly:
                     f"{EXPONENT_LIMIT}"
                 )
             key = _pack(exps)
-            c = canon.get(key, 0) + int(coeff)
+            c = canon.get(key, 0) + operator.index(coeff)
             if c:
                 canon[key] = c
             elif key in canon:
@@ -186,8 +186,19 @@ class MultiPoly:
 
     @classmethod
     def const(cls, gens, value: int) -> "MultiPoly":
-        value = int(value)
+        value = operator.index(value)
         return cls._canonical(tuple(gens), {0: value} if value else {})
+
+    @classmethod
+    def of(cls, gens, value) -> "MultiPoly":
+        """`value` in Z[gens], the one conversion of an outside value: an int
+        is made a constant, a polynomial must already be in this ring
+        (ValueError), and anything else raises TypeError."""
+        if not isinstance(value, MultiPoly):
+            return cls.const(gens, value)
+        if value.gens != tuple(gens):
+            raise ValueError(f"generator mismatch: {value.gens} vs {gens}")
+        return value
 
     @classmethod
     def one(cls, gens) -> "MultiPoly":

@@ -29,6 +29,7 @@ basis (and hence delta_one) exists over Z[g...] without passing to fractions.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from .coeffring import MultiPoly, _fields, _mul_into, parse_expression
 
@@ -62,7 +63,7 @@ class _Vec:
         return self.scale(-1)
 
     def scale(self, c):
-        c = _scalar(self.algebra.gens, c)
+        c = MultiPoly.of(self.algebra.gens, c)
         return self._like(_push({0: self.vec}, ((0, c),)))
 
     def __rmul__(self, other):
@@ -91,22 +92,15 @@ class AlgebraElement(_Vec):
     order = 1
 
     def __init__(self, algebra: "FrobeniusAlgebra", coeffs):
-        coeffs = [
-            c if isinstance(c, MultiPoly) else MultiPoly.const(algebra.gens, c)
-            for c in coeffs
-        ]
+        coeffs = list(coeffs)
         if len(coeffs) != algebra.rank:
             raise ValueError(
                 f"rank mismatch: got {len(coeffs)} coefficients for a rank "
                 f"{algebra.rank} algebra"
             )
-        for c in coeffs:
-            if c.gens != algebra.gens:
-                raise ValueError(
-                    f"generator mismatch: {c.gens} vs {algebra.gens}"
-                )
+        vec = {i: MultiPoly.of(algebra.gens, c) for i, c in enumerate(coeffs)}
         self.algebra = algebra
-        self.vec = {i: c for i, c in enumerate(coeffs) if c}
+        self.vec = {i: c for i, c in vec.items() if c}
 
     @property
     def coeffs(self) -> tuple:
@@ -145,23 +139,19 @@ class TensorElement(_Vec):
     __slots__ = ("order",)
 
     def __init__(self, algebra: "FrobeniusAlgebra", order: int, coeffs):
+        order = operator.index(order)
         if order < 1:
             raise ValueError("tensor order must be at least 1")
         n = algebra.rank
         vec: dict[int, MultiPoly] = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for idx, c in items:
-            idx = tuple(int(i) for i in idx)
+            idx = tuple(map(operator.index, idx))
             if len(idx) != order:
                 raise ValueError(f"index tuple {idx} does not have order {order}")
             if any(i < 0 or i >= n for i in idx):
                 raise ValueError(f"basis index out of range in {idx}")
-            if isinstance(c, int):
-                c = MultiPoly.const(algebra.gens, c)
-            elif c.gens != algebra.gens:
-                raise ValueError(
-                    f"generator mismatch: {c.gens} vs {algebra.gens}"
-                )
+            c = MultiPoly.of(algebra.gens, c)
             flat = 0
             for i in idx:
                 flat = flat * n + i
@@ -242,16 +232,6 @@ def _kron(a: dict, b: dict, width: int) -> dict:
     return {i * width + j: x * y for i, x in a.items() for j, y in b.items()}
 
 
-def _scalar(gens, c) -> MultiPoly:
-    """c as a scalar of Z[gens]: an int is made a constant, a polynomial of
-    another ring is refused (`_push` does not check rings)."""
-    if isinstance(c, int):
-        return MultiPoly.const(gens, c)
-    if c.gens != gens:
-        raise ValueError(f"generator mismatch: {c.gens} vs {gens}")
-    return c
-
-
 class _Kron:
     """The columns of the Kronecker product f1 (x) ... (x) fk, as a column
     source for `_push`: column j is the `_kron` of the factors' columns,
@@ -323,9 +303,9 @@ class LinearMap:
 
     def __init__(self, gens, n: int, in_order: int, out_order: int, cols):
         self.gens = tuple(gens)
-        self.n = int(n)
-        self.in_order = int(in_order)
-        self.out_order = int(out_order)
+        self.n = operator.index(n)
+        self.in_order = operator.index(in_order)
+        self.out_order = operator.index(out_order)
         ncols, nrows = self.n ** self.in_order, self.n ** self.out_order
         canon = {}
         for c, col in cols.items():
@@ -407,7 +387,7 @@ class LinearMap:
         return self.scale(-1)
 
     def scale(self, c) -> "LinearMap":
-        c = _scalar(self.gens, c)
+        c = MultiPoly.of(self.gens, c)
         cols = {j: _push({0: col}, ((0, c),)) for j, col in self.cols.items()}
         return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
 
@@ -529,10 +509,12 @@ class FrobeniusAlgebra:
     it is stored as `mul_map` as given, after one ring check per entry.
     `counit_vec` and the `symbols` values are given as dense coefficient
     lists and checked by the element constructor; the counit is kept as
-    `counit_map` and the dense tuple `counit_vec`, the symbols as elements.
-    Immutable after construction.  The Frobenius data is stored once, as the
-    maps `mul_map`, `counit_map`, `pairing_map`, `dual_map` (column j is y_j)
-    and `delta_one_map`; `mul_basis`, `dual_basis` and `delta_one` are views.
+    `counit_map` and the dense tuple `counit_vec`, the symbols as sparse
+    vectors.  No element, which points back at its algebra, is stored, so
+    reference counting frees an algebra.  Immutable after construction.
+    The Frobenius data is stored once, as the maps `mul_map`, `counit_map`,
+    `pairing_map`, `dual_map` (column j is y_j) and `delta_one_map`;
+    `mul_basis`, `dual_basis` and `delta_one` are views.
     A constructor that knows the dual basis passes `dual`, the pair (columns
     {j: y_j as a sparse column}, det(gram)); without it the dual basis is
     the inverse of the Gram matrix from `unimodular_inverse`.  Validation
@@ -560,7 +542,7 @@ class FrobeniusAlgebra:
             raise ValueError(f"generator mismatch: {bad} vs {self.gens}")
 
         self._symbols = {
-            name: AlgebraElement(self, coeffs)
+            name: AlgebraElement(self, coeffs).vec
             for name, coeffs in (symbols or {}).items()
         }
         for name in self._symbols:
@@ -615,15 +597,15 @@ class FrobeniusAlgebra:
     def mul_basis(self, i: int, j: int) -> AlgebraElement:
         return self._element(self.mul_map.cols.get(i * self.rank + j, {}))
 
-    @cached_property
+    @property
     def dual_basis(self) -> tuple:
-        """y_0, ..., y_{n-1}, read off the columns of `dual_map`."""
+        """y_0, ..., y_{n-1}, made from the columns of `dual_map` on read."""
         cols = self.dual_map.cols
         return tuple(self._element(cols.get(j, {})) for j in range(self.rank))
 
-    @cached_property
+    @property
     def delta_one(self) -> TensorElement:
-        """sum_i y_i (x) e_i, read off `delta_one_map`."""
+        """sum_i y_i (x) e_i, made from `delta_one_map` on read."""
         return self._tensor(2, self.delta_one_map.cols.get(0, {}))
 
     # -- structure maps, each one column store built on first use -------------
@@ -785,7 +767,7 @@ class FrobeniusAlgebra:
         cols = self._symbol_times.get(name)
         if cols is None:
             cols = self._symbol_times[name] = self._mul_by_columns(
-                self._symbols[name].vec)
+                self._symbols[name])
         return cols
 
     def _mul_by_columns(self, u: dict) -> dict:
@@ -872,11 +854,10 @@ class FrobeniusAlgebra:
                 return mul.get(a * n + k, {})
             return _push(mul, [(a * n + k, c) for a, c in u.items()])
 
-        symbols = {name: u.vec for name, u in self._symbols.items()}
-        products = {name: {} for name in symbols}
+        products = {name: {} for name in self._symbols}
         reached = [0]
         for i in reached:
-            for name, s in symbols.items():
+            for name, s in self._symbols.items():
                 products[name][i] = p = times(s, i)
                 k = basis_index(p)
                 if k is not None and k not in reached:
@@ -947,21 +928,14 @@ def algebra_from_modulus(generators, modulus, counit) -> FrobeniusAlgebra:
     counit goes through `unimodular_inverse`.
     """
     gens = tuple(generators)
-
-    def as_poly(c):
-        c = c if isinstance(c, MultiPoly) else MultiPoly.const(gens, c)
-        if c.gens != gens:
-            raise ValueError(f"generator mismatch: {c.gens} vs {gens}")
-        return c
-
-    coeffs = [as_poly(c) for c in modulus]
+    coeffs = [MultiPoly.of(gens, c) for c in modulus]
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("modulus must have degree at least 1")
     if coeffs[-1] != MultiPoly.one(gens):
         raise ValueError("modulus must be monic (leading coefficient exactly 1)")
 
-    counit_vec = [as_poly(c) for c in counit]
+    counit_vec = [MultiPoly.of(gens, c) for c in counit]
     if len(counit_vec) != n:
         raise ValueError(f"counit must have length {n}")
 

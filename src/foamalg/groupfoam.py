@@ -9,6 +9,7 @@ and the resulting bialgebra checks live here.
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from math import gcd, lcm
 
@@ -35,7 +36,7 @@ class FiniteAbelianGroup:
     __slots__ = ("orders", "size", "_strides")
 
     def __init__(self, orders):
-        orders = tuple(int(o) for o in orders)
+        orders = tuple(map(operator.index, orders))
         if not orders:
             raise ValueError("the group needs at least one cyclic factor")
         if any(o < 2 for o in orders):

@@ -7,6 +7,8 @@ to zero on absent or out-of-range triples.
 
 from __future__ import annotations
 
+import operator
+
 from .coeffring import MultiPoly
 
 
@@ -22,25 +24,20 @@ class ThetaTable:
 
     def __init__(self, gens, rank: int, entries):
         self.gens = tuple(gens)
-        self.rank = int(rank)
+        self.rank = operator.index(rank)
         if self.rank < 1:
             raise ValueError("theta table rank must be at least 1")
         canon: dict[tuple[int, int, int], MultiPoly] = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for triple, value in items:
-            triple = tuple(int(t) for t in triple)
+            triple = tuple(map(operator.index, triple))
             if len(triple) != 3:
                 raise ValueError(f"theta entries are indexed by triples, got {triple}")
             if any(t < 0 or t >= self.rank for t in triple):
                 raise ValueError(
                     f"index out of range in {triple} for rank {self.rank}"
                 )
-            if isinstance(value, int):
-                value = MultiPoly.const(self.gens, value)
-            if value.gens != self.gens:
-                raise ValueError(
-                    f"generator mismatch: {value.gens} vs {self.gens}"
-                )
+            value = MultiPoly.of(self.gens, value)
             if not value:
                 continue
             for image in _cyclic(triple):

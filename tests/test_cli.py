@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -423,6 +424,22 @@ class TestReport:
         assert any(
             r.get("note") == "matrix equals -2 * identity" for r in advisory
         )
+
+    def test_readme_example_is_the_mv_report(self, capsys):
+        """Each result of the README's report example is the same result of
+        `report --algebra mv --theta mv`, with its keys in printed order."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md")
+        section = readme.read_text(encoding="utf-8").split(
+            "### Report schema", 1)[1]
+        example = json.loads(section.split("```json\n", 1)[1].split("```")[0])
+        code, out, err = run(capsys, "report", "--algebra", "mv",
+                             "--theta", "mv")
+        assert (code, err) == (0, "")
+        printed = {(r["law"], r.get("variant")): r
+                   for r in json.loads(out)["results"]}
+        for result in example["results"]:
+            expected = printed[result["law"], result.get("variant")]
+            assert list(result.items()) == list(expected.items())
 
     def test_group22(self, capsys):
         code, out, err = run(capsys, "report", "--algebra", "group:2,2",

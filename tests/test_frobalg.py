@@ -1,12 +1,17 @@
 import functools
+import gc
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foamalg.branchops import BranchContext
 from foamalg.coeffring import MultiPoly, parse_poly
+from foamalg.foamlang import compile_diagram, parse
 from foamalg.frobalg import (
+    AlgebraElement,
     DegenerateFormError,
     FrobeniusAlgebra,
     LinearMap,
@@ -20,7 +25,9 @@ from foamalg.frobalg import (
     truncated_algebra,
     unimodular_inverse,
 )
-from foamalg.groupfoam import group_ring
+from foamalg.groupfoam import FiniteAbelianGroup, group_ring
+from foamalg.lawsuite import run_suite
+from foamalg.thetafoam import ThetaTable
 
 MV_GENS = ("a", "b", "c")
 AB = ("a", "b")
@@ -654,6 +661,94 @@ class TestInputChecks:
         assert not small.mul_map.apply(small.tensor(x, x))
 
 
+class TestExactInputs:
+    """Every outside value becomes a coefficient or an index exactly, or is
+    refused: a float or a string is never truncated or parsed."""
+
+    CASES = {
+        "poly-exponent": lambda mv: MultiPoly(("a",), {(1.5,): 2}),
+        "poly-coefficient": lambda mv: MultiPoly(("a",), {(1,): 2.5}),
+        "const": lambda mv: MultiPoly.const((), 2.9),
+        "theta-triple": lambda mv: ThetaTable((), 3, {(0.5, 1, 2): 1}),
+        "theta-rank": lambda mv: ThetaTable((), 3.5, {}),
+        "theta-value": lambda mv: ThetaTable(mv.gens, 3, {(0, 1, 2): 2.5}),
+        "tensor-index": lambda mv: TensorElement(mv, 2, {(0.9, 1): 1}),
+        "tensor-value": lambda mv: TensorElement(mv, 1, {(0,): 2.5}),
+        "tensor-order": lambda mv: TensorElement(mv, 1.5, {}),
+        "group-order": lambda mv: FiniteAbelianGroup([2.5]),
+        "map-rank": lambda mv: LinearMap((), 2.5, 1, 1, {}),
+        "map-in-order": lambda mv: LinearMap((), 2, 1.0, 1, {}),
+        "map-out-order": lambda mv: LinearMap((), 2, 1, 1.0, {}),
+        "element-float": lambda mv: AlgebraElement(mv, [0.5, 0, 0]),
+        "element-string": lambda mv: AlgebraElement(mv, ["2", 0, 0]),
+        "modulus": lambda mv: algebra_from_modulus((), [0.5, 0, 1], [0, 1]),
+        "counit": lambda mv: algebra_from_modulus((), [0, 0, 1], [0, 1.0]),
+        "element-scale": lambda mv: mv.unit.scale(1.5),
+        "map-scale": lambda mv: mv.mul_map.scale(1.5),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_non_integers_are_type_errors(self, mv, case):
+        with pytest.raises(TypeError):
+            self.CASES[case](mv)
+
+    def test_of_converts_ints_and_keeps_its_ring(self, mv):
+        gens = mv.gens
+        a = MultiPoly.gen(gens, "a")
+        assert MultiPoly.of(gens, a) is a
+        assert MultiPoly.of(list(gens), 3) == MultiPoly.const(gens, 3)
+        assert MultiPoly.of(gens, True) == MultiPoly.one(gens)
+        assert MultiPoly(("a",), {(True,): True}) == MultiPoly.gen(("a",), "a")
+        z = MultiPoly.const(("z",), 3)
+        for build in (lambda: MultiPoly.of(gens, z),
+                      lambda: AlgebraElement(mv, [z, 0, 0]),
+                      lambda: TensorElement(mv, 1, {(0,): z}),
+                      lambda: ThetaTable(gens, 3, {(0, 1, 2): z}),
+                      lambda: algebra_from_modulus((), [0, 0, 1], [0, z])):
+            with pytest.raises(ValueError, match="generator mismatch"):
+                build()
+        # A value wrong in both rank and ring or type reports the rank.
+        for coeffs in ([z, 0], [0.5, 0]):
+            with pytest.raises(ValueError, match="rank mismatch"):
+                AlgebraElement(mv, coeffs)
+
+
+class TestFreedByReferenceCounting:
+    """An algebra holds only maps and sparse vectors, and a context holds
+    its compiler through a proxy, so dropping them frees them at once,
+    without the cycle collector, after any use."""
+
+    BUILDERS = {
+        "mv": (mv_algebra, "a*X^2 + X"),
+        "aN:5": (lambda: truncated_algebra(5), "X^3 - 2"),
+        "group:2,3": (lambda: group_ring([2, 3]), "x*y^2"),
+        "group:2,2": (lambda: group_ring([2, 2]), "x + y"),
+        "modulus": (lambda: algebra_from_modulus(
+            ("s",), [MultiPoly.gen(("s",), "s"), 0, 1], [0, 1]), "s*X"),
+    }
+
+    @staticmethod
+    def use(build, text):
+        A = build()
+        A.dual_basis, A.delta_one
+        A.parse_element(text)
+        ctx = BranchContext(A, ThetaTable.zero(A.rank, A.gens))
+        run_suite(ctx)
+        compile_diagram(parse("(id * comul) ; (bmul * id)"), ctx)
+        return weakref.ref(A)
+
+    def test_dropped_algebras_are_freed(self):
+        for build, text in self.BUILDERS.values():
+            self.use(build, text)  # first-use garbage does not count
+        gc.disable()
+        try:
+            alive = [name for name, (build, text) in self.BUILDERS.items()
+                     if self.use(build, text)() is not None]
+        finally:
+            gc.enable()
+        assert alive == []
+
+
 class TestRenderers:
     """Elements print the highest basis index first, tensors in increasing
     index-tuple order."""
@@ -740,7 +835,7 @@ class TestParseAgainstArithmetic:
             if isinstance(base, int):
                 return A.unit.scale(base)
             if base in A._symbols:
-                return A._symbols[base]
+                return A._element(A._symbols[base])
             return A.unit.scale(MultiPoly.gen(A.gens, base))
 
         assert A.parse_element(text) == fold(terms, value)
