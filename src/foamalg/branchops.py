@@ -17,7 +17,9 @@ skein identities; the law suite reports each separately.
 Each operation is a `LinearMap` (defined in `frobalg`, re-exported here),
 the same sparse column store as the algebra's own structure maps.
 `GENERATORS` is the one table of the diagram language's generators: each
-name with the map it stands for and its arity.
+name with the map it stands for and its arity.  `foamlang` compiles diagrams
+over a context into its `BranchContext.memo`; this module imports nothing
+of `foamlang`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from .thetafoam import ThetaTable
 class BranchContext:
     """A Frobenius algebra paired with a rank-matching theta table.
 
-    Immutable; the bracket and cocomul maps, and the diagram compiler, are
-    built on first use.
+    Immutable; the bracket and cocomul maps are built on first use.
+    `memo` holds the diagrams compiled over the context (`foamlang.factors`),
+    keyed by source text; it holds maps and column sources only, nothing
+    that refers back to the context.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra, theta: ThetaTable):
@@ -45,13 +49,7 @@ class BranchContext:
             )
         self.algebra = algebra
         self.theta = theta.embed(algebra.gens)
-
-    @cached_property
-    def compiler(self):
-        """The one `foamlang.Compiler` over this context, which every law
-        and diagram compiled on it shares."""
-        from .foamlang import Compiler  # foamlang imports this module
-        return Compiler(self)
+        self.memo = {"mul ; counit": [algebra.pairing_map]}
 
     # -- structure maps, each one column store built on first use -------------
 

@@ -18,16 +18,17 @@ augmentation and the diagonal g -> g (x) g, exist on group rings only; any
 algebra parses and typechecks them, and compiling them elsewhere raises
 ValueError.  `label(elem)` multiplies by a fixed algebra element; `elem`
 uses the polynomial syntax extended with the algebra's basis symbols (X^k
-powers, or group generator names).  `Compiler.side` compiles the law
-suite's signed sums of diagrams on the same column sources.
+powers, or group generator names).  `side` compiles the law suite's
+signed sums of diagrams on the same column sources.  Both compile over a
+context's memo, `BranchContext.memo`, so a subtree is compiled once per
+context however many laws and diagrams read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Optional
-from weakref import proxy
 
 from .branchops import GENERATORS, BranchContext, LinearMap
 from .frobalg import _Kron, _column, _push
@@ -427,61 +428,49 @@ def _parsed(text: str):
     return tree, typecheck(tree), pretty(tree)
 
 
-class Compiler:
-    """Compiles diagrams over one context to column sources.
+def factors(ctx: BranchContext, node) -> list:
+    """The Kronecker factors of a well-typed tree over `ctx`: maps, or
+    `_Chain`s for compositions.  Identical subtrees are compiled once per
+    context, keyed by their source text in `ctx.memo`."""
+    if isinstance(node, Tensor):
+        return [f for p in node.parts for f in factors(ctx, p)]
+    key = pretty(node)
+    if key not in ctx.memo:
+        ctx.memo[key] = [_make(ctx, node)]
+    return ctx.memo[key]
 
-    A context has one, `BranchContext.compiler`, that every law and diagram
-    on it shares; it holds the context weakly, so that the pair is freed
-    as soon as the context is dropped, not by the cycle collector.
-    Identical subtrees are compiled once, keyed by their source text, so
-    their columns are made once however often they are read; `mul ; counit`
-    is the stored pairing.
-    """
 
-    def __init__(self, ctx: BranchContext):
-        self.ctx = proxy(ctx)
-        self.memo = {"mul ; counit": [ctx.algebra.pairing_map]}
+def _make(ctx: BranchContext, node):
+    if isinstance(node, Compose):
+        return _Chain([factors(ctx, p) for p in node.parts])
+    if node.name == "label":
+        return ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
+    return ctx.linear_map(node.name)
 
-    def factors(self, node) -> list:
-        """The Kronecker factors of a well-typed tree: maps, or `_Chain`s
-        for compositions."""
-        if isinstance(node, Tensor):
-            return [f for p in node.parts for f in self.factors(p)]
-        key = pretty(node)
-        if key not in self.memo:
-            self.memo[key] = [self._make(node)]
-        return self.memo[key]
 
-    def _make(self, node):
-        if isinstance(node, Compose):
-            return _Chain([self.factors(p) for p in node.parts])
-        ctx = self.ctx
-        if node.name == "label":
-            return ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
-        return ctx.linear_map(node.name)
-
-    def side(self, terms) -> Side:
-        """The column source of sum_t a_t * d_t(x_s, ..., x_k-1, x_0, ...,
-        x_s-1), s = s_t, for `terms` of (a_t, s_t, source of d_t) on k
-        input legs x: d_t takes the legs rotated by s_t (`_rotation`).  A
-        diagram that only one term reads does not keep its columns, since
-        the walk reads each once."""
-        parsed = [_parsed(text) for _, _, text in terms]
-        keys = [key for _, _, key in parsed]
-        n, out = self.ctx.algebra.rank, []
-        for (a, s, _), (tree, (k, _), key) in zip(terms, parsed):
-            factors = self.factors(tree)
-            source = _stage(factors)
-            if isinstance(source, _Chain):
-                fetch = source.make if keys.count(key) == 1 else source.get
-            else:  # a map's columns or a `_Kron`: None for a zero column
-                fetch = lambda c, get=source.get: get(c) or {}
-            back = _rotation(k - s, k, n) if s else None
-            if s:
-                fetch = lambda c, f=fetch, r=_rotation(s, k, n): f(r(c))
-            out.append((a, fetch, factors, back))
-        return Side(out, self.ctx.algebra.gens,
-                    parsed[0][1][1] if parsed else None)
+def side(ctx: BranchContext, terms) -> Side:
+    """The column source over `ctx` of sum_t a_t * d_t(x_s, ..., x_k-1, x_0,
+    ..., x_s-1), s = s_t, for `terms` of (a_t, s_t, source of d_t) on k
+    input legs x: d_t takes the legs rotated by s_t (`_rotation`).  The
+    terms that read one composed diagram share one cache of its columns,
+    which lives as long as the side; a diagram that only one term reads
+    keeps none, since the walk reads each column once."""
+    parsed = [_parsed(text) for _, _, text in terms]
+    keys = [key for _, _, key in parsed]
+    n, out, shared = ctx.algebra.rank, [], {}
+    for (a, s, _), (tree, (k, _), key) in zip(terms, parsed):
+        parts = factors(ctx, tree)
+        source = _stage(parts)
+        if isinstance(source, _Chain):
+            fetch = source.make if keys.count(key) == 1 else \
+                shared.setdefault(key, cache(source.make))
+        else:  # a map's columns or a `_Kron`: None for a zero column
+            fetch = lambda c, get=source.get: get(c) or {}
+        back = _rotation(k - s, k, n) if s else None
+        if s:
+            fetch = lambda c, f=fetch, r=_rotation(s, k, n): f(r(c))
+        out.append((a, fetch, parts, back))
+    return Side(out, ctx.algebra.gens, parsed[0][1][1] if parsed else None)
 
 
 def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
@@ -493,7 +482,7 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
     the parts in turn, a composition's kept.  The result reads its n^in
     input columns, so nothing is made that they do not need: a closed
     diagram makes only what its one column passes through.  Subtrees are
-    compiled by the context's one `Compiler`.  Raises ArityError on an
+    compiled once per context (`factors`).  Raises ArityError on an
     ill-typed expression and ValueError, before building anything, when the
     diagram exceeds MAX_MATRIX_CELLS.
     """
@@ -506,7 +495,7 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
             f"{n}^{ins + legs} = {cells} matrix cells at rank {n}, more than "
             f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
-    whole = _stage(ctx.compiler.factors(e))
+    whole = _stage(factors(ctx, e))
     cols = {c: whole.get(c) or {} for c in range(n ** ins)}
     return LinearMap(A.gens, n, ins, outs, cols)
 

@@ -267,19 +267,6 @@ def _column(stages, c: int) -> dict:
     return col
 
 
-def _first_unequal_column(lhs, rhs, columns):
-    """Check a map equation column by column: lhs(c) and rhs(c) are the two
-    sides' sparse columns, compared for each c of `columns`, an increasing
-    iterable of column indices, in turn up to the first difference.  A
-    caller may leave out a column only where both sides are zero.  Returns
-    (c, lhs(c), rhs(c)) there, or None when every column agrees."""
-    for c in columns:
-        a, b = lhs(c), rhs(c)
-        if a != b:
-            return c, a, b
-    return None
-
-
 def _unflat(flat: int, n: int, order: int) -> tuple[int, ...]:
     idx = []
     for _ in range(order):

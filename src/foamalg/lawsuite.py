@@ -1,14 +1,13 @@
 """Exhaustive verification of the algebraic laws on basis tuples.
 
 Every law is one equation lhs == rhs in the table `LAWS`, each side a signed
-sum of diagrams in `foamlang`'s language.  The context's one
-`foamlang.Compiler` compiles the sides to column sources, and
-`frobalg._first_unequal_column` compares them one input column, that is one
-basis tuple, at a time in flat order, up to the first column where they
-differ.  Only the columns where a side can be
-nonzero are read, and cases are counted as if every column had been.  The
-skein identities 1-3 walk on past unequal columns to report the first
-unequal entry in row-major order.  Every check is complete over basis
+sum of diagrams in `foamlang`'s language.  `foamlang.side` compiles the
+sides to column sources over the context's memo, and `_first_unequal_column`
+compares them one input column, that is one basis tuple, at a time in flat
+order, up to the first column where they differ.  Only the columns where a
+side can be nonzero are read, and cases are counted as if every column had
+been.  The skein identities 1-3 walk on past unequal columns to report the
+first unequal entry in row-major order.  Every check is complete over basis
 tuples (multilinearity makes basis checking sufficient), and failure is
 data: a LawReport carrying the first counterexample.
 
@@ -26,7 +25,8 @@ from itertools import chain
 
 from .branchops import BranchContext
 from .coeffring import MultiPoly
-from .frobalg import FrobeniusAlgebra, _first_unequal_column, _unflat
+from .foamlang import side
+from .frobalg import FrobeniusAlgebra, _unflat
 from .thetafoam import ThetaTable
 
 
@@ -97,9 +97,8 @@ def sides(ctx: BranchContext, law: str, sign: int = 1, D: str = ""):
     """The (lhs, rhs) column sources of a law of `LAWS` over `ctx`, with
     the rhs times `sign` and D put into its diagrams."""
     _, lhs, rhs = LAWS[law]
-    compiler = ctx.compiler
-    return (compiler.side([(a, s, d.format(D=D)) for a, s, d in lhs]),
-            compiler.side([(sign * a, s, d.format(D=D)) for a, s, d in rhs]))
+    return (side(ctx, [(a, s, d.format(D=D)) for a, s, d in lhs]),
+            side(ctx, [(sign * a, s, d.format(D=D)) for a, s, d in rhs]))
 
 
 def _labels(algebra, *indices):
@@ -134,6 +133,19 @@ def _columns(pair, count: int):
         support.difference_update(range(head))
         yield sorted(support)
     return chain.from_iterable(parts())
+
+
+def _first_unequal_column(lhs, rhs, columns):
+    """Check a map equation column by column: lhs(c) and rhs(c) are the two
+    sides' sparse columns, compared for each c of `columns`, an increasing
+    iterable of column indices, in turn up to the first difference.  A
+    caller may leave out a column only where both sides are zero.  Returns
+    (c, lhs(c), rhs(c)) there, or None when every column agrees."""
+    for c in columns:
+        a, b = lhs(c), rhs(c)
+        if a != b:
+            return c, a, b
+    return None
 
 
 def _walk(pair, width: int):

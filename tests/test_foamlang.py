@@ -9,7 +9,6 @@ from foamalg.branchops import BranchContext, LinearMap
 from foamalg.foamlang import (
     MAX_MATRIX_CELLS,
     ArityError,
-    Compiler,
     Compose,
     Generator,
     ParseError,
@@ -19,11 +18,13 @@ from foamalg.foamlang import (
     eval_closed,
     parse,
     pretty,
+    side,
     typecheck,
 )
 from foamalg.frobalg import _unflat, mv_algebra, truncated_algebra
 from foamalg.groupfoam import GroupRingAlgebra, derive_bialgebra_theta, \
     group_ring
+from foamalg import foamlang
 from foamalg.lawsuite import run_suite
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
@@ -411,7 +412,7 @@ class TestInterchange:
 
 
 class TestColumnSources:
-    """`Compiler`, the column-source layer that compiles law sides: its
+    """`side`, the column-source layer that compiles law sides: its
     reported supports, its rotated terms, and the `theta` and `delta_one`
     generators, on `mv`."""
 
@@ -434,24 +435,24 @@ class TestColumnSources:
         assume(arity is not None)
         ins = arity[0]
         s = data.draw(st.integers(0, max(ins - 1, 0)), label="rotation")
-        side = mv_ctx.compiler.side([(1, s, pretty(e)), (-2, 0, pretty(e))])
-        support = side.support()
+        summed = side(mv_ctx, [(1, s, pretty(e)), (-2, 0, pretty(e))])
+        support = summed.support()
         if support is None:
             return
         for c in range(mv_ctx.algebra.rank ** ins):
             if c not in support:
-                assert side.get(c) == {}
+                assert summed.get(c) == {}
 
     def test_permuted_term(self, mv_ctx):
         """A term (a, s, d) with s = 1 maps (x_0, x_1) to a * d(x_1, x_0)."""
         A = mv_ctx.algebra
         n = A.rank
-        side = mv_ctx.compiler.side([(3, 1, "bmul")])
+        rotated = side(mv_ctx, [(3, 1, "bmul")])
         m = mv_ctx.bracket_map
         for i in range(n):
             for j in range(n):
                 want = {r: 3 * v for r, v in m.cols.get(j * n + i, {}).items()}
-                assert side.get(i * n + j) == want
+                assert rotated.get(i * n + j) == want
 
     def test_closed_theta_diagram(self, mv_ctx):
         A = mv_ctx.algebra
@@ -494,8 +495,8 @@ def group_ctx():
 
 
 class TestSharedCompiler:
-    """Every law and diagram on a context is compiled by the context's one
-    `Compiler`, each subtree once."""
+    """Every law and diagram on a context is compiled over the context's
+    one memo, each subtree once."""
 
     @pytest.mark.parametrize("make_ctx", [
         lambda: BranchContext(truncated_algebra(7), lie_theta(7)),
@@ -503,22 +504,19 @@ class TestSharedCompiler:
     ], ids=["aN:7/lie", "group:2,2,2/group"])
     def test_one_compiler_per_context(self, monkeypatch, make_ctx):
         ctx = make_ctx()
-        init, make = Compiler.__init__, Compiler._make
+        make = foamlang._make
         contexts, made = [], []
 
-        def counted_init(self, ctx):
-            contexts.append(ctx)
-            init(self, ctx)
+        def counted_make(ctx, node):
+            if not any(c is ctx for c in contexts):
+                contexts.append(ctx)  # held, so no two share an id
+            made.append((id(ctx), pretty(node)))
+            return make(ctx, node)
 
-        def counted_make(self, node):
-            made.append((id(self), pretty(node)))
-            return make(self, node)
-
-        monkeypatch.setattr(Compiler, "__init__", counted_init)
-        monkeypatch.setattr(Compiler, "_make", counted_make)
+        monkeypatch.setattr(foamlang, "_make", counted_make)
         reports = run_suite(ctx)
         # The delta_one suite checks neck cutting on a zero-theta context of
-        # its own, the one other compiler.
+        # its own, the one other context.
         assert [c is ctx for c in contexts] == [True, False]
         assert made and len(made) == len(set(made))
         assert any(r.law == "bialgebra" for r in reports) == \

@@ -17,7 +17,6 @@ from foamalg.frobalg import (
     LinearMap,
     TensorElement,
     _column,
-    _first_unequal_column,
     _Kron,
     _push,
     algebra_from_modulus,
@@ -714,9 +713,9 @@ class TestExactInputs:
 
 
 class TestFreedByReferenceCounting:
-    """An algebra holds only maps and sparse vectors, and a context holds
-    its compiler through a proxy, so dropping them frees them at once,
-    without the cycle collector, after any use."""
+    """An algebra holds only maps and sparse vectors, and a context's memo
+    holds only maps and column sources, so dropping them frees them at
+    once, without the cycle collector, after any use."""
 
     BUILDERS = {
         "mv": (mv_algebra, "a*X^2 + X"),
@@ -735,6 +734,7 @@ class TestFreedByReferenceCounting:
         ctx = BranchContext(A, ThetaTable.zero(A.rank, A.gens))
         run_suite(ctx)
         compile_diagram(parse("(id * comul) ; (bmul * id)"), ctx)
+        compile_diagram(parse(f"label({text}) ; comul"), ctx)
         return weakref.ref(A)
 
     def test_dropped_algebras_are_freed(self):
@@ -978,31 +978,6 @@ class TestColumnsOnDemand:
                    mv.mul_map.cols, mv.counit_map.cols)
         for c in range(9):
             assert _column(sources, c) == whole.cols.get(c, {})
-
-    def test_first_unequal_column(self):
-        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
-        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[c],
-                                     range(4)) is None
-        assert _first_unequal_column(lambda c: cols[c], lambda c: {},
-                                     range(4)) == (0, {0: 1}, {})
-        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[2],
-                                     range(4)) == (0, {0: 1}, {1: 2})
-        assert _first_unequal_column(lambda c: cols[c],
-                                     lambda c: cols[c - c // 3], range(4)) == \
-            (3, {1: 3}, {1: 2})
-
-    def test_first_unequal_column_walks_only_the_given_columns(self):
-        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
-        walked = []
-
-        def lhs(c):
-            walked.append(c)
-            return cols[c]
-
-        assert _first_unequal_column(lhs, lambda c: {}, (2, 3)) == \
-            (2, {1: 2}, {})
-        assert walked == [2]
-        assert _first_unequal_column(lhs, lambda c: {}, iter(())) is None
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_tensor_product_is_legwise(self, mv, order):

@@ -4,12 +4,13 @@ from foamalg.branchops import BranchContext
 from foamalg.frobalg import mv_algebra, truncated_algebra
 from foamalg.groupfoam import derive_bialgebra_theta, group_ring
 from foamalg import groupfoam, lawsuite
-from foamalg.foamlang import parse, typecheck
+from foamalg.foamlang import parse, pretty, typecheck
 from foamalg.lawsuite import (
     LAWS,
     SUITE_NAMES,
     SUITES,
     LawReport,
+    _first_unequal_column,
     check_antisymmetry,
     check_cocomul_two_sided,
     check_delta_one_resolution,
@@ -71,6 +72,14 @@ class TestJacobi:
         A = truncated_algebra(3)
         report = check_jacobi(BranchContext(A, ThetaTable.zero(3)))
         assert report.passed
+
+    def test_shared_columns_live_only_with_the_side(self):
+        """The three rotations of one diagram share its n^3 columns while
+        the law is walked; the context's memo keeps none of them after."""
+        ctx = lie_ctx(7)
+        assert check_jacobi(ctx).passed
+        (chain,) = ctx.memo[pretty(parse("(id * bmul) ; bmul"))]
+        assert chain.made == {}
 
 
 class TestTwoSided:
@@ -255,6 +264,33 @@ class TestSuite:
         parsed = json.loads(blob)
         assert len(parsed) == len(reports)
         assert all("law" in entry and "passed" in entry for entry in parsed)
+
+
+class TestFirstUnequalColumn:
+    def test_first_unequal_column(self):
+        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
+        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[c],
+                                     range(4)) is None
+        assert _first_unequal_column(lambda c: cols[c], lambda c: {},
+                                     range(4)) == (0, {0: 1}, {})
+        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[2],
+                                     range(4)) == (0, {0: 1}, {1: 2})
+        assert _first_unequal_column(lambda c: cols[c],
+                                     lambda c: cols[c - c // 3], range(4)) == \
+            (3, {1: 3}, {1: 2})
+
+    def test_first_unequal_column_walks_only_the_given_columns(self):
+        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
+        walked = []
+
+        def lhs(c):
+            walked.append(c)
+            return cols[c]
+
+        assert _first_unequal_column(lhs, lambda c: {}, (2, 3)) == \
+            (2, {1: 2}, {})
+        assert walked == [2]
+        assert _first_unequal_column(lhs, lambda c: {}, iter(())) is None
 
 
 class TestLawTable:
