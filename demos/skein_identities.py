@@ -8,8 +8,10 @@ from foamalg import (
     BranchContext,
     LinearMap,
     check_skein_identities,
+    compile_diagram,
     mv_algebra,
     mv_theta,
+    parse,
 )
 
 ctx = BranchContext(mv_algebra(), mv_theta())
@@ -31,7 +33,7 @@ E = (mu >> eps) >> ctx.linear_map("delta_one")
 
 print()
 print("With F = (bracket ⊗ id)(id ⊗ cocomul_skein):")
-D = ctx.linear_map("bcomul_skein")
+D = compile_diagram(parse("bcomul_skein"), ctx)
 F = (id1 @ D) >> (m @ id1)
 print("   F == E - swap          :", F == E - tau)
 print("   F >> F == id + E       :", F >> F == id2 + E)
@@ -39,7 +41,7 @@ print("   cocomul_skein >> bracket == 2 id  :", D >> m == 2 * id1)
 
 print()
 print("Under the plain cocomul legs every identity flips sign:")
-Dl = ctx.linear_map("bcomul")
+Dl = compile_diagram(parse("bcomul"), ctx)
 Fl = (id1 @ Dl) >> (m @ id1)
 print("   F == swap - E          :", Fl == tau - E)
 print("   F >> F == id + E       :", Fl >> Fl == id2 + E, " (squares agree)")

@@ -14,12 +14,15 @@ and `cocomul_skein` is the same map with the output legs exchanged.  Both are
 exposed because the two conventions satisfy different sign forms of the web
 skein identities; the law suite reports each separately.
 
-Each operation is a `LinearMap` (defined in `frobalg`, re-exported here),
-the same sparse column store as the algebra's own structure maps.
-`GENERATORS` is the one table of the diagram language's generators: each
-name with the map it stands for and its arity.  `foamlang` compiles diagrams
-over a context into its `BranchContext.memo`; this module imports nothing
-of `foamlang`.
+The bracket and the theta foam are `LinearMap`s (defined in `frobalg`,
+re-exported here), the same sparse column store as the algebra's own
+structure maps.  `GENERATORS` is the table of the diagram language's
+primitive generators: each name with the map it stands for and its arity.
+The co-operations are not stored: as maps they are the derived names
+`bcomul` and `bcomul_skein` of `foamlang.DEFINITIONS`, diagrams of the
+primitives, and `cocomul` and `cocomul_skein` compute them on elements.
+`foamlang` compiles diagrams over a context into its `BranchContext.memo`;
+this module imports nothing of `foamlang`.
 """
 
 from __future__ import annotations
@@ -28,14 +31,14 @@ from functools import cached_property
 from operator import attrgetter
 
 from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
-    TensorElement, _Kron, _column, _push
+    TensorElement, _Kron, _kron, _push
 from .thetafoam import ThetaTable
 
 
 class BranchContext:
     """A Frobenius algebra paired with a rank-matching theta table.
 
-    Immutable; the bracket and cocomul maps are built on first use.
+    Immutable; the bracket and theta maps are built on first use.
     `memo` holds the diagrams compiled over the context (`foamlang.factors`),
     keyed by source text; it holds maps and column sources only, nothing
     that refers back to the context.
@@ -75,26 +78,6 @@ class BranchContext:
             (i * n + j) * n + k: {0: t}
             for (i, j, k), t in self.theta.entries.items()})
 
-    @cached_property
-    def cocomul_map(self) -> LinearMap:
-        """u -> sum_i bracket(u, y_i) (x) e_i: delta_one beside the input,
-        then the bracket on the two left legs, read one column at a time
-        (bracket (x) id has n^3 columns)."""
-        A = self.algebra
-        stages = ((A.identity_map @ A.delta_one_map).cols,
-                  _Kron(self.bracket_map, A.identity_map))
-        return LinearMap(A.gens, A.rank, 1, 2,
-                         {u: _column(stages, u) for u in range(A.rank)})
-
-    @cached_property
-    def cocomul_skein_map(self) -> LinearMap:
-        """`cocomul_map >> swap_map`, built as a relabelling of the rows of
-        `cocomul_map`: output (a, b), at row a*n + b, moves to row b*n + a."""
-        n = self.algebra.rank
-        return LinearMap(self.algebra.gens, n, 1, 2, {
-            u: {r % n * n + r // n: v for r, v in col.items()}
-            for u, col in self.cocomul_map.cols.items()})
-
     # -- operations ------------------------------------------------------------
 
     def bracket_basis(self, i: int, j: int) -> AlgebraElement:
@@ -107,12 +90,16 @@ class BranchContext:
         return self.algebra._apply(self.bracket_map, u, v)
 
     def cocomul(self, u: AlgebraElement) -> TensorElement:
-        """sum_i bracket(u, y_i) (x) e_i, with y_i the dual basis."""
-        return self.algebra._apply(self.cocomul_map, u)
+        """sum_i bracket(u, y_i) (x) e_i, with y_i the dual basis: the
+        bracket on the two left legs of u (x) delta_one."""
+        A = self.algebra
+        legs = _kron(A._own(u).vec, A.delta_one.vec, A.rank ** 2)
+        return A._tensor(2, _push(_Kron(self.bracket_map, A.identity_map),
+                                  legs.items()))
 
     def cocomul_skein(self, u: AlgebraElement) -> TensorElement:
         """cocomul with the two output legs exchanged."""
-        return self.algebra._apply(self.cocomul_skein_map, u)
+        return self.algebra.swap_map.apply(self.cocomul(u))
 
     # -- matrices ---------------------------------------------------------------
 
@@ -146,12 +133,9 @@ GENERATORS = {
     "id": ("algebra.identity_map", 1, 1),
     "swap": ("algebra.swap_map", 2, 2),
     "mul": ("algebra.mul_map", 2, 1),
-    "comul": ("algebra.comul_map", 1, 2),
     "unit": ("algebra.unit_map", 0, 1),
     "counit": ("algebra.counit_map", 1, 0),
     "bmul": ("bracket_map", 2, 1),
-    "bcomul": ("cocomul_map", 1, 2),
-    "bcomul_skein": ("cocomul_skein_map", 1, 2),
     "theta": ("theta_map", 3, 0),
     "delta_one": ("algebra.delta_one_map", 0, 2),
     "aug": ("algebra.augmentation_map", 1, 0),

@@ -6,22 +6,25 @@ Grammar (composition reads bottom to top):
     term   = factor { "*" factor }      side-by-side tensor
     factor = generator | "label" "(" elem ")" | "(" expr ")"
 
-Generators, with (inputs, outputs), are those of `branchops.GENERATORS`:
+The primitive generators, with (inputs, outputs), are those of
+`branchops.GENERATORS`:
 
-    id (1,1)   swap (2,2)   mul (2,1)    comul (1,2)   unit (0,1)
-    counit (1,0)   bmul (2,1)   bcomul (1,2)   bcomul_skein (1,2)
-    theta (3,0)   delta_one (0,2)   aug (1,0)   diag (1,2)
+    id (1,1)   swap (2,2)   mul (2,1)   unit (0,1)   counit (1,0)
+    bmul (2,1)   theta (3,0)   delta_one (0,2)   aug (1,0)   diag (1,2)
 
-and `label(elem)` (1,1).  `theta` is the theta foam, the table as a 3 -> 0
-map; `delta_one` is the neck, sum_i y_i (x) e_i.  `aug` and `diag`, the
-augmentation and the diagonal g -> g (x) g, exist on group rings only; any
-algebra parses and typechecks them, and compiling them elsewhere raises
-ValueError.  `label(elem)` multiplies by a fixed algebra element; `elem`
-uses the polynomial syntax extended with the algebra's basis symbols (X^k
-powers, or group generator names).  `side` compiles the law suite's
-signed sums of diagrams on the same column sources.  Both compile over a
-context's memo, `BranchContext.memo`, so a subtree is compiled once per
-context however many laws and diagrams read it.
+and `label(elem)` (1,1).  The derived names comul, bcomul and
+bcomul_skein, all (1,2), are diagrams of these, one table `DEFINITIONS`: a
+derived name compiles as its definition and takes its definition's arity.
+`theta` is the theta foam, the table as a 3 -> 0 map; `delta_one` is the
+neck, sum_i y_i (x) e_i.  `aug` and `diag`, the augmentation and the
+diagonal g -> g (x) g, exist on group rings only; any algebra parses and
+typechecks them, and compiling them elsewhere raises ValueError.
+`label(elem)` multiplies by a fixed algebra element; `elem` uses the
+polynomial syntax extended with the algebra's basis symbols (X^k powers,
+or group generator names).  `side` compiles the law suite's signed sums of
+diagrams on the same column sources.  Both compile over a context's memo,
+`BranchContext.memo`, so a subtree is compiled once per context however
+many laws and diagrams read it.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ from .coeffring import MAX_EXPONENT, MultiPoly, name_degrees
 GENERATOR_ARITIES = {name: (ins, outs)
                      for name, (_, ins, outs) in GENERATORS.items()}
 GENERATOR_ARITIES["label"] = (1, 1)
+
+# The derived names, each compiled as the diagram of its text.
+DEFINITIONS = {
+    "comul": "(delta_one * id) ; (id * mul)",
+    "bcomul": "(id * delta_one) ; (bmul * id)",
+    "bcomul_skein": "bcomul ; swap",
+}
 
 
 class ParseError(Exception):
@@ -171,7 +181,7 @@ def parse(src: str) -> DiagramExpr:
     including parentheses nested deeper than MAX_NESTING.
     """
     tokens = _lex(src)
-    expected = sorted(GENERATORS) + ["label(...)", "("]
+    expected = sorted([*GENERATORS, *DEFINITIONS]) + ["label(...)", "("]
     pos = 0
     depth = 0
 
@@ -189,7 +199,7 @@ def parse(src: str) -> DiagramExpr:
         kind, text, at = peek()
         if kind == "NAME":
             advance()
-            if text not in GENERATORS:
+            if text not in GENERATORS and text not in DEFINITIONS:
                 raise ParseError(f"unknown generator {text!r}", at,
                                  expected=expected)
             return Generator(text, pos=at)
@@ -273,9 +283,11 @@ def _shape(e: DiagramExpr) -> tuple[int, int, int]:
     in flight through it has; raise ArityError, at the first composition
     whose arities do not chain, if any.  A tensor's columns are made from
     its parts' columns, so inside it only one part's legs are in flight at
-    a time."""
+    a time.  A derived name counts as a generator: the legs inside its
+    definition are never counted."""
     if isinstance(e, Generator):
-        ins, outs = GENERATOR_ARITIES[e.name]
+        ins, outs = _parsed(DEFINITIONS[e.name])[1] \
+            if e.name in DEFINITIONS else GENERATOR_ARITIES[e.name]
         return ins, outs, max(ins, outs)
     if isinstance(e, Tensor):
         ins, outs, widths = zip(*map(_shape, e.parts))
@@ -430,10 +442,13 @@ def _parsed(text: str):
 
 def factors(ctx: BranchContext, node) -> list:
     """The Kronecker factors of a well-typed tree over `ctx`: maps, or
-    `_Chain`s for compositions.  Identical subtrees are compiled once per
-    context, keyed by their source text in `ctx.memo`."""
+    `_Chain`s for compositions; a derived name's are its definition's.
+    Identical subtrees are compiled once per context, keyed by their source
+    text in `ctx.memo`."""
     if isinstance(node, Tensor):
         return [f for p in node.parts for f in factors(ctx, p)]
+    if isinstance(node, Generator) and node.name in DEFINITIONS:
+        return factors(ctx, _parsed(DEFINITIONS[node.name])[0])
     key = pretty(node)
     if key not in ctx.memo:
         ctx.memo[key] = [_make(ctx, node)]

@@ -10,11 +10,11 @@ otherwise, stores each as a map, and validates the algebra axioms exactly:
 associativity by Light's test over a generating set, the rest on all basis
 tuples, a handed-over dual basis included.
 
-Every structure map (mul, comul, counit, unit, swap, identity, delta_one,
-and the branch maps built in `branchops`) is one `LinearMap`: a sparse
-column store between tensor powers of the algebra.  Products, coproducts,
-compositions and applications all go through `_push`, the one routine that
-scales columns and accumulates them.
+Every structure map (mul, counit, unit, swap, identity, delta_one, and the
+branch maps built in `branchops`) is one `LinearMap`: a sparse column store
+between tensor powers of the algebra.  Products, coproducts, compositions
+and applications all go through `_push`, the one routine that scales
+columns and accumulates them.
 
 Elements share that form.  An `AlgebraElement` or `TensorElement` holds one
 sparse vector `vec`, {flat index: nonzero MultiPoly}, shaped like a column of
@@ -626,16 +626,6 @@ class FrobeniusAlgebra:
             i * n + j: {j * n + i: one} for i in range(n) for j in range(n)
         })
 
-    @cached_property
-    def comul_map(self) -> LinearMap:
-        """u -> sum_i y_i (x) (e_i * u): delta_one beside the input, then mul
-        on the two right legs, read one column at a time (id (x) mul has
-        n^3 columns)."""
-        stages = ((self.delta_one_map @ self.identity_map).cols,
-                  _Kron(self.identity_map, self.mul_map))
-        return LinearMap(self.gens, self.rank, 1, 2,
-                         {u: _column(stages, u) for u in range(self.rank)})
-
     def mul(self, u: AlgebraElement, v: AlgebraElement) -> AlgebraElement:
         """Bilinear extension of the product on the basis."""
         return self._apply(self.mul_map, u, v)
@@ -645,8 +635,9 @@ class FrobeniusAlgebra:
         return self._apply(self.counit_map, u)
 
     def comul(self, u: AlgebraElement) -> TensorElement:
-        """Comultiplication through the second leg: sum_i y_i (x) (e_i * u)."""
-        return self._apply(self.comul_map, u)
+        """Comultiplication through the second leg: sum_i y_i (x) (e_i * u),
+        delta_one times 1 (x) u leg by leg."""
+        return self.delta_one * self.tensor(self.unit, u)
 
     def handle_scalar(self) -> MultiPoly:
         """counit(mul(delta_one)): the scalar of the one-handled sphere."""

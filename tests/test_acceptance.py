@@ -127,13 +127,14 @@ def test_criterion_06a_skein_identities_skein_variant(mv_ctx):
     A = mv_ctx.algebra
     gens = A.gens
     m = mv_ctx.linear_map("bmul")
-    D = mv_ctx.linear_map("bcomul_skein")
     mu = mv_ctx.linear_map("mul")
     eps = mv_ctx.linear_map("counit")
     tau = mv_ctx.linear_map("swap")
+    delta_one = mv_ctx.linear_map("delta_one")
     id1 = LinearMap.identity(gens, 3, 1)
     id2 = LinearMap.identity(gens, 3, 2)
-    E = (mu >> eps) >> mv_ctx.linear_map("delta_one")
+    D = (id1 @ delta_one) >> (m @ id1) >> tau
+    E = (mu >> eps) >> delta_one
     F = (id1 @ D) >> (m @ id1)
     assert F == E - tau                       # identity (1), 9x9 exact
     assert F >> F == id2 + E                  # identity (2), 9x9 exact
@@ -190,8 +191,8 @@ def test_criterion_06c_pointwise_kernel_identity_computed_form(mv_ctx):
 
 def test_criterion_06d_plain_cocomul_sign_recorded(mv_ctx):
     m = mv_ctx.linear_map("bmul")
-    D = mv_ctx.linear_map("bcomul")
     id1 = LinearMap.identity(mv_ctx.algebra.gens, 3, 1)
+    D = (id1 @ mv_ctx.linear_map("delta_one")) >> (m @ id1)
     assert D >> m == (-2) * id1
     reports = {(r.law, r.variant): r for r in check_skein_identities(mv_ctx)}
     r3 = reports[("skein_identity_3", "cocomul")]

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from foamalg import cli
 from foamalg.branchops import GENERATORS, BranchContext, LinearMap
 from foamalg.coeffring import MultiPoly, parse_poly
+from foamalg.foamlang import DEFINITIONS, compile_diagram, parse, typecheck
 from foamalg.frobalg import mv_algebra, truncated_algebra
 from foamalg.groupfoam import GroupRingAlgebra
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
@@ -71,6 +72,12 @@ class TestBracket:
         other = truncated_algebra(4)
         with pytest.raises(ValueError, match="rank mismatch"):
             lie3_ctx.bracket(other.unit, other.unit)
+        A, same_rank = lie3_ctx.algebra, mv_algebra()
+        for op in (A.comul, lie3_ctx.cocomul, lie3_ctx.cocomul_skein):
+            with pytest.raises(ValueError, match="algebra mismatch"):
+                op(same_rank.unit)
+            with pytest.raises(TypeError, match="got TensorElement"):
+                op(A.tensor(A.unit))
 
     small = st.integers(-3, 3)
 
@@ -250,11 +257,28 @@ class TestGeneratorTable:
     @pytest.mark.parametrize("algebra,theta", [
         ("mv", "mv"), ("aN:5", "lie"), ("group:2,2", "group"),
         ("config", "zero"), ("config", "config")])
-    def test_skein_map_is_cocomul_then_swap(self, tmp_path, algebra, theta):
-        """`cocomul_skein_map` relabels rows; it is the composite with swap."""
+    def test_derived_names_are_their_definitions(self, tmp_path, algebra,
+                                                 theta):
+        """Each name of `DEFINITIONS` compiles to the whole product of its
+        definition over primitive maps, has the element method's columns,
+        and has its definition's arity."""
         ctx = spec_context(tmp_path, algebra, theta)
-        assert ctx.cocomul_skein_map == \
-            ctx.cocomul_map >> ctx.algebra.swap_map
+        A, gen = ctx.algebra, ctx.linear_map
+        cocomul = (gen("id") @ gen("delta_one")) >> (gen("bmul") @ gen("id"))
+        whole = {
+            "comul": (gen("delta_one") @ gen("id")) >> (gen("id") @ gen("mul")),
+            "bcomul": cocomul,
+            "bcomul_skein": cocomul >> gen("swap"),
+        }
+        methods = {"comul": A.comul, "bcomul": ctx.cocomul,
+                   "bcomul_skein": ctx.cocomul_skein}
+        for name, text in DEFINITIONS.items():
+            m = compile_diagram(parse(name), ctx)
+            assert m == whole[name]
+            for u in range(A.rank):
+                e = A.basis_element(u)
+                assert m.apply(A.tensor(e)) == methods[name](e)
+            assert typecheck(parse(name)) == typecheck(parse(text))
 
 
 class TestRingCoercion:

@@ -315,6 +315,14 @@ class TestEval:
             assert code == expected
         assert out == "" and err.startswith("error: diagram too large")
 
+    def test_derived_name_is_bounded_as_a_generator(self, capsys):
+        # `bcomul` has three legs in flight inside its definition, but the
+        # bound counts its own two: 33^3 cells are accepted, not 33^4.
+        assert 33 ** 4 > MAX_MATRIX_CELLS
+        code, out, err = run(capsys, "eval", "--algebra", "aN:33", "--theta",
+                             "lie", "--expr", "bcomul ; bmul")
+        assert (code, err) == (0, "")
+
     def test_group_ring_generators(self, capsys):
         """The counit law through `eval`: `bcomul ; (aug * id)` is `id` on
         a group ring."""

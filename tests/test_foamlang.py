@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from foamalg.branchops import BranchContext, LinearMap
 from foamalg.foamlang import (
+    DEFINITIONS,
     MAX_MATRIX_CELLS,
     ArityError,
     Compose,
@@ -14,6 +15,7 @@ from foamalg.foamlang import (
     ParseError,
     Tensor,
     _rotation,
+    _shape,
     compile_diagram,
     eval_closed,
     parse,
@@ -262,6 +264,13 @@ class TestCompile:
         e = parse(" * ".join([f"({part})"] * 3))
         assert eval_closed(e, mv_ctx) == whole_map(e, mv_ctx).entry(0, 0)
         assert str(eval_closed(e, mv_ctx)) == "27"
+
+    @pytest.mark.parametrize("name", sorted(DEFINITIONS))
+    def test_derived_name_is_bounded_as_a_generator(self, name):
+        # Its definition may have more legs in flight (three in `bcomul`'s),
+        # but a derived name counts only its own inputs or outputs.
+        ins, outs = typecheck(parse(DEFINITIONS[name]))
+        assert _shape(parse(name)) == (ins, outs, max(ins, outs))
 
 
 class TestEvalClosed:

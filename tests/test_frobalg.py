@@ -951,8 +951,13 @@ class TestColumnsOnDemand:
     """`_Kron` and `_column` read composites one column at a time; each
     column must be the one the whole-map `@` and `>>` build."""
 
+    def comul(self, mv):
+        """The comultiplication, built whole: (delta_one @ id) >> (id @ mul)."""
+        return (mv.delta_one_map @ mv.identity_map) >> \
+            (mv.identity_map @ mv.mul_map)
+
     def maps(self, mv):
-        return [mv.identity_map, mv.mul_map, mv.comul_map, mv.counit_map,
+        return [mv.identity_map, mv.mul_map, self.comul(mv), mv.counit_map,
                 mv.delta_one_map, mv.swap_map]
 
     def test_kron_columns_match_the_whole_product(self, mv):
@@ -968,12 +973,13 @@ class TestColumnsOnDemand:
                         assert (lazy.get(j) or {}) == whole.cols.get(j, {})
 
     def test_column_matches_the_whole_composite(self, mv):
-        stages = (mv.identity_map @ mv.comul_map,
+        comul = self.comul(mv)
+        stages = (mv.identity_map @ comul,
                   mv.mul_map @ mv.identity_map, mv.mul_map, mv.counit_map)
         whole = stages[0]
         for f in stages[1:]:
             whole = whole >> f
-        sources = (_Kron(mv.identity_map, mv.comul_map),
+        sources = (_Kron(mv.identity_map, comul),
                    _Kron(mv.mul_map, mv.identity_map),
                    mv.mul_map.cols, mv.counit_map.cols)
         for c in range(9):

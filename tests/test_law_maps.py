@@ -182,12 +182,12 @@ def oracle_skein(ctx):
     tau = ctx.linear_map("swap")
     id1 = LinearMap.identity(gens, n, 1)
     id2 = LinearMap.identity(gens, n, 2)
-    E = (ctx.linear_map("mul") >> ctx.linear_map("counit")) >> \
-        ctx.linear_map("delta_one")
-    for variant, name in (("cocomul_skein", "bcomul_skein"),
-                          ("cocomul", "bcomul")):
+    delta_one = ctx.linear_map("delta_one")
+    E = (ctx.linear_map("mul") >> ctx.linear_map("counit")) >> delta_one
+    cocomul = (id1 @ delta_one) >> (m @ id1)
+    for variant, D in (("cocomul_skein", cocomul >> tau),
+                       ("cocomul", cocomul)):
         advisory = variant == "cocomul"
-        D = ctx.linear_map(name)
         F = (id1 @ D) >> (m @ id1)
 
         cx = _matrix_counterexample(ctx, F, E - tau)
