@@ -253,22 +253,21 @@ def parse(src: str) -> DiagramExpr:
 
 def pretty(e: DiagramExpr) -> str:
     """Render an AST back to source; parse(pretty(e)) == e structurally."""
+    return _keyed(e)[0]
+
+
+def _keyed(e: DiagramExpr) -> tuple:
+    """(pretty(e), e, the keyed parts of e): each subtree's text is made
+    once, from its parts' texts, so a walk of the keyed tree reads every
+    subtree's text without rendering it again."""
     if isinstance(e, Generator):
-        if e.name == "label":
-            return f"label({e.payload})"
-        return e.name
-    if isinstance(e, Tensor):
-        parts = [
-            f"({pretty(p)})" if isinstance(p, (Tensor, Compose)) else pretty(p)
-            for p in e.parts
-        ]
-        return " * ".join(parts)
-    if isinstance(e, Compose):
-        parts = [
-            f"({pretty(p)})" if isinstance(p, Compose) else pretty(p)
-            for p in e.parts
-        ]
-        return " ; ".join(parts)
+        return (f"label({e.payload})" if e.name == "label" else e.name), e, ()
+    if isinstance(e, (Tensor, Compose)):
+        parts = [_keyed(p) for p in e.parts]
+        grouped = (Tensor, Compose) if isinstance(e, Tensor) else Compose
+        text = (" * " if isinstance(e, Tensor) else " ; ").join(
+            f"({t})" if isinstance(p, grouped) else t for t, p, _ in parts)
+        return text, e, parts
     raise TypeError(f"not a diagram expression: {e!r}")
 
 
@@ -435,29 +434,32 @@ class Side:
 
 @lru_cache(maxsize=256)
 def _parsed(text: str):
-    """(tree, arity, source) of a diagram, parsed once."""
+    """(keyed tree, arity) of a diagram, parsed once; the keyed tree is
+    `_keyed`'s, so its first item is the source as `pretty` prints it."""
     tree = parse(text)
-    return tree, typecheck(tree), pretty(tree)
+    return _keyed(tree), typecheck(tree)
 
 
-def factors(ctx: BranchContext, node) -> list:
-    """The Kronecker factors of a well-typed tree over `ctx`: maps, or
-    `_Chain`s for compositions; a derived name's are its definition's.
-    Identical subtrees are compiled once per context, keyed by their source
-    text in `ctx.memo`."""
+def factors(ctx: BranchContext, keyed) -> list:
+    """The Kronecker factors over `ctx` of a well-typed tree, given keyed
+    (`_keyed`): maps, or `_Chain`s for compositions; a derived name's are
+    its definition's.  Identical subtrees are compiled once per context,
+    keyed by their source text in `ctx.memo`."""
+    key, node, parts = keyed
     if isinstance(node, Tensor):
-        return [f for p in node.parts for f in factors(ctx, p)]
+        return [f for p in parts for f in factors(ctx, p)]
     if isinstance(node, Generator) and node.name in DEFINITIONS:
         return factors(ctx, _parsed(DEFINITIONS[node.name])[0])
-    key = pretty(node)
     if key not in ctx.memo:
-        ctx.memo[key] = [_make(ctx, node)]
+        ctx.memo[key] = [_make(ctx, node, parts)]
     return ctx.memo[key]
 
 
-def _make(ctx: BranchContext, node):
+def _make(ctx: BranchContext, node, parts):
+    """The one factor of a composition or a generator, from `node` and its
+    keyed parts."""
     if isinstance(node, Compose):
-        return _Chain([factors(ctx, p) for p in node.parts])
+        return _Chain([factors(ctx, p) for p in parts])
     if node.name == "label":
         return ctx.mul_by_map(ctx.algebra.parse_element(node.payload))
     return ctx.linear_map(node.name)
@@ -471,10 +473,10 @@ def side(ctx: BranchContext, terms) -> Side:
     which lives as long as the side; a diagram that only one term reads
     keeps none, since the walk reads each column once."""
     parsed = [_parsed(text) for _, _, text in terms]
-    keys = [key for _, _, key in parsed]
+    keys = [keyed[0] for keyed, _ in parsed]
     n, out, shared = ctx.algebra.rank, [], {}
-    for (a, s, _), (tree, (k, _), key) in zip(terms, parsed):
-        parts = factors(ctx, tree)
+    for (a, s, _), (keyed, (k, _)), key in zip(terms, parsed, keys):
+        parts = factors(ctx, keyed)
         source = _stage(parts)
         if isinstance(source, _Chain):
             fetch = source.make if keys.count(key) == 1 else \
@@ -510,7 +512,7 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
             f"{n}^{ins + legs} = {cells} matrix cells at rank {n}, more than "
             f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
-    whole = _stage(factors(ctx, e))
+    whole = _stage(factors(ctx, _keyed(e)))
     cols = {c: whole.get(c) or {} for c in range(n ** ins)}
     return LinearMap(A.gens, n, ins, outs, cols)
 

@@ -538,6 +538,7 @@ class FrobeniusAlgebra:
                     f"basis symbol {name!r} collides with a ring generator"
                 )
         self._symbol_times: dict = {}
+        self._generators = None  # (the validated mul_map, generator indices)
 
         if validate:
             self._validate_algebra()
@@ -583,6 +584,16 @@ class FrobeniusAlgebra:
 
     def mul_basis(self, i: int, j: int) -> AlgebraElement:
         return self._element(self.mul_map.cols.get(i * self.rank + j, {}))
+
+    def generator_indices(self):
+        """The basis indices of a set S of basis elements that, with e_0,
+        generates the algebra under products, and whose product validation
+        proved associative (`_validate_algebra`); None when validation
+        found no such S, did not run, or checked another map than the
+        current `mul_map`."""
+        if self._generators is None or self._generators[0] is not self.mul_map:
+            return None
+        return self._generators[1]
 
     @property
     def dual_basis(self) -> tuple:
@@ -802,6 +813,8 @@ class FrobeniusAlgebra:
         S is the basis symbols when a breadth-first search from e_0 reaches
         every basis element as a product s * e_i equal to exactly 1 * e_k;
         otherwise S is the whole basis, and the check is the full n^3 one.
+        When S is the symbols and each is a basis element, their indices
+        are kept with the map they were checked on (`generator_indices`).
         """
         n = self.rank
         mul, one = self.mul_map.cols, MultiPoly.one(self.gens)
@@ -861,6 +874,9 @@ class FrobeniusAlgebra:
             raise ValueError(
                 "multiplication is not associative at ({}, {}, {})".format(*bad)
             )
+        indices = [basis_index(s) for s in self._symbols.values()]
+        self._generators = (self.mul_map, tuple(sorted(set(indices)))) \
+            if len(reached) == n and None not in indices else None
 
     def _validate_frobenius(self):
         """counit(e_i * y_j) = delta_ij on all basis elements: entry (i, j)

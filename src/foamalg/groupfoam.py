@@ -179,18 +179,48 @@ def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
     return ThetaTable.from_entries(A.rank, entries, gens=A.gens)
 
 
+def _generator_rows(A: FrobeniusAlgebra):
+    """The filter of the columns x * n + y, x and y basis indices, with x =
+    0 or x in the generating set S that construction proved the current
+    product associative with (`generator_indices`); None without such an S.
+
+    On these rows compatibility, D(xy) = D(x)D(y) for a linear map D,
+    proves itself on all n^2 pairs.  T = {x : D(xy) = D(x)D(y) for all y}
+    is a submodule, since both sides are linear in x.  For x, x' in T,
+    associativity gives D((xx')y) = D(x)D(x'y) = D(x)D(x')D(y) =
+    D(xx')D(y), so T is closed under products.  So T, holding 1 and S, is
+    A."""
+    gens = A.generator_indices()
+    if gens is None:
+        return None
+    n, rows = A.rank, {0, *gens}
+    return lambda c: c // n in rows
+
+
 def check_bialgebra(A: GroupRingAlgebra, ctx: BranchContext) -> LawReport:
     """Verify the branch co-operation gives a bialgebra on the group ring:
     the laws of `lawsuite.LAWS` that cocomul equals the diagonal `diag`;
     then compatibility with mul on all basis pairs; then the left and the
     right counit laws for the augmentation `aug`, on every basis element.
-    Each law is walked in turn, and the report adds up their cases."""
+    Each law is walked in turn, and the report adds up their cases.
+
+    Compatibility is read only on the rows of e_0 and of a generating set,
+    against every basis element, where `_generator_rows` proves that this
+    decides every pair; a pass reports n^2 cases.  If one of these rows
+    fails, every pair is walked again, so the report shows the first
+    failing pair in flat order.  Without such a proof, every pair is
+    walked."""
     if ctx.algebra is not A:
         raise ValueError("context was not built from the given algebra")
+    generator_rows = _generator_rows(A)
     cases = 0
     for law in ("cocomul equals diagonal", "compatibility",
                 "counit law (left)", "counit law (right)"):
-        checked, cx = _compare(A, sides(ctx, law), LAWS[law][0])
+        pair = sides(ctx, law)
+        keep = generator_rows if law == "compatibility" else None
+        checked, cx = _compare(A, pair, LAWS[law][0], keep)
+        if cx is not None and keep is not None:
+            checked, cx = _compare(A, pair, LAWS[law][0])
         cases += checked
         if cx is not None:
             cx = {"inputs": cx["inputs"], "sublaw": law, **cx}

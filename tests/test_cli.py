@@ -79,6 +79,27 @@ class TestLaws:
         parsed = json.loads(out)
         assert parsed == [{"law": "jacobi", "passed": True, "cases": 27}]
 
+    def test_universal_rank_7_fails_jacobi_on_sorted_triples(self, capsys,
+                                                              tmp_path):
+        """X^7 - a1 X^6 - ... - a7 with the lie table: antisymmetry passes,
+        so Jacobi takes the sorted-triple walk, and fails at the 18th
+        column, (1, X^2, X^3), as the walk of every column does."""
+        config = tmp_path / "univ7.json"
+        config.write_text(json.dumps({
+            "generators": [f"a{k}" for k in range(1, 8)],
+            "modulus": [f"-a{k}" for k in range(7, 0, -1)] + ["1"],
+            "counit": ["0"] * 6 + ["1"],
+        }))
+        code, out, err = run(capsys, "laws", "--algebra", str(config),
+                             "--theta", "lie", "--suite", "antisym,jacobi",
+                             "--format", "json")
+        assert (code, err) == (1, "")
+        antisym, jacobi = json.loads(out)
+        assert antisym == {"law": "antisymmetry", "passed": True,
+                           "cases": 49}
+        assert (jacobi["passed"], jacobi["cases"]) == (False, 18)
+        assert jacobi["counterexample"]["inputs"] == ["1", "X^2", "X^3"]
+
     def test_rank_mismatch(self, capsys):
         code, out, err = run(capsys, "laws", "--algebra", "aN:4",
                              "--theta", "mv")

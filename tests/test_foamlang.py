@@ -516,11 +516,11 @@ class TestSharedCompiler:
         make = foamlang._make
         contexts, made = [], []
 
-        def counted_make(ctx, node):
+        def counted_make(ctx, node, parts):
             if not any(c is ctx for c in contexts):
                 contexts.append(ctx)  # held, so no two share an id
             made.append((id(ctx), pretty(node)))
-            return make(ctx, node)
+            return make(ctx, node, parts)
 
         monkeypatch.setattr(foamlang, "_make", counted_make)
         reports = run_suite(ctx)

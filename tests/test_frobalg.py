@@ -228,6 +228,46 @@ class TestLightsTest:
                     != table_product(table, e[i], table_product(table, s, e[k])))
 
 
+class TestGeneratorIndices:
+    """The generating set Light's test used is kept only where it proves
+    associativity of the current product."""
+
+    def test_symbols_that_generate(self):
+        assert truncated_algebra(5).generator_indices() == (1,)
+        assert group_ring([2, 4]).generator_indices() == (1, 4)
+
+    def test_no_record_without_a_proof(self):
+        A = group_ring([2, 2])
+        n = A.rank
+        table = dict(A.mul_map.cols)
+        counit = [1] + [0] * (n - 1)
+        # x alone reaches only 1 and x, so Light's test reads every basis
+        # element instead of the symbols.
+        partial = FrobeniusAlgebra((), A.basis_labels, table, counit,
+                                   symbols={"x": [0, 0, 1, 0]})
+        assert partial.generator_indices() is None
+        unchecked = FrobeniusAlgebra((), A.basis_labels, table, counit,
+                                     symbols={"x": [0, 0, 1, 0],
+                                              "y": [0, 1, 0, 0]},
+                                     validate=False)
+        assert unchecked.generator_indices() is None
+        # X = -2 * e_0 in a rank-1 algebra is no basis element.
+        assert algebra_from_modulus((), [2, 1], [1]).generator_indices() \
+            is None
+
+    def test_bound_to_the_validated_map(self):
+        A = group_ring([2, 2])
+        assert A.generator_indices() == (1, 2)
+        A.__dict__["mul_map"] = LinearMap(A.gens, A.rank, 2, 1,
+                                          dict(A.mul_map.cols))
+        assert A.generator_indices() is None
+        A._validate_algebra()
+        assert A.generator_indices() == (1, 2)
+        A._symbols = {"x": A.basis_element(2).vec}
+        A._validate_algebra()
+        assert A.generator_indices() is None
+
+
 class TestMultiplication:
     def test_unit(self, mv):
         u = mv.parse_element("a*X^2 - 3*X + b*c")

@@ -6,22 +6,29 @@ builds the report by hand.  The map-equation checks must give the same
 `to_dict()` on every context, including where they fail.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foamalg import groupfoam, lawsuite
 from foamalg.branchops import BranchContext
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import LinearMap, _unflat, algebra_from_modulus, \
     mv_algebra, truncated_algebra
-from foamalg.groupfoam import check_bialgebra, derive_bialgebra_theta, \
-    group_ring, hopf_delta
+from foamalg.groupfoam import _generator_rows, check_bialgebra, \
+    derive_bialgebra_theta, group_ring, hopf_delta
 from foamalg.lawsuite import (
     LawReport,
+    _compare,
+    _law_report,
     check_antisymmetry,
     check_cocomul_two_sided,
     check_delta_one_resolution,
     check_jacobi,
     check_skein_identities,
     check_theta_trace,
+    sides,
 )
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
@@ -506,3 +513,192 @@ def test_every_failing_path_is_reached():
                     and not check(c).passed:
                 failed.add(law)
     assert failed == set(checks)
+
+
+# -- proof-backed walks ----------------------------------------------------
+
+
+def test_jacobi_equals_the_full_walk(ctx):
+    """The sorted-triple walk reports what the walk of every column does,
+    on contexts that pass and fail antisymmetry and Jacobi."""
+    assert check_jacobi(ctx).to_dict() == _law_report("jacobi", ctx).to_dict()
+
+
+def _orbits(n):
+    """The cyclic orbits of index triples at rank n, each by its least
+    rotation."""
+    return sorted({min((i, j, k), (j, k, i), (k, i, j)) for i in range(n)
+                   for j in range(n) for k in range(n)})
+
+
+@st.composite
+def theta_tables(draw):
+    """(rank, table, alternating) over aN:2 to aN:5.  An alternating table
+    is antisymmetric in its last two legs, so its bracket is antisymmetric;
+    any other has a nonzero value on the orbit of (0, 0, 1), which breaks
+    antisymmetry at (e_0, e_1)."""
+    n = draw(st.integers(2, 5))
+    alternating = draw(st.booleans())
+    value = st.integers(-2, 2)
+    entries = []
+    if alternating:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    v = draw(value)
+                    entries += [((i, j, k), v), ((i, k, j), -v)]
+    else:
+        entries = [(t, draw(value.filter(bool)) if t == (0, 0, 1)
+                    else draw(value)) for t in _orbits(n)]
+    return n, ThetaTable.from_entries(n, entries), alternating
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta_tables())
+def test_jacobi_on_random_tables_equals_the_full_walk(drawn):
+    n, theta, alternating = drawn
+    ctx = BranchContext(truncated_algebra(n), theta)
+    assert check_antisymmetry(ctx).passed == alternating
+    assert check_jacobi(ctx).to_dict() == _law_report("jacobi", ctx).to_dict()
+
+
+def _read_columns(monkeypatch, module, law):
+    """The columns at which the lhs of `law` is read, for every `sides`
+    that `module` makes for it."""
+    read = []
+    make = module.sides
+
+    def recording_sides(ctx, name, *args):
+        lhs, rhs = make(ctx, name, *args)
+        if name == law:
+            get = lhs.get
+            lhs.get = lambda c: read.append(c) or get(c)
+        return lhs, rhs
+
+    monkeypatch.setattr(module, "sides", recording_sides)
+    return read
+
+
+@pytest.mark.parametrize("n, entries, passed", [
+    (5, [((0, 1, 3), 1), ((0, 3, 1), -1), ((1, 2, 3), 2), ((1, 3, 2), -2)],
+     True),
+    (5, [((0, 1, 3), 1), ((0, 3, 1), -1), ((0, 3, 4), 2), ((0, 4, 3), -2),
+         ((1, 2, 3), 2), ((1, 3, 2), -2), ((2, 3, 4), -1), ((2, 4, 3), 1)],
+     False),
+])
+def test_alternating_tables_walk_sorted_triples(monkeypatch, n, entries,
+                                                passed):
+    """An antisymmetric bracket takes the reduced walk, both where Jacobi
+    passes and where it fails."""
+    ctx = BranchContext(truncated_algebra(n), ThetaTable.from_entries(
+        n, entries))
+    read = _read_columns(monkeypatch, lawsuite, "jacobi")
+    report = check_jacobi(ctx)
+    assert report.passed == passed
+    assert report.to_dict() == oracle_jacobi(ctx).to_dict()
+    assert read and all(i < j < k for i, j, k in
+                        (_unflat(c, n, 3) for c in read))
+
+
+def test_jacobi_reads_only_sorted_triples_on_an15(monkeypatch):
+    n = 15
+    ctx = BranchContext(truncated_algebra(n), lie_theta(n))
+    read = _read_columns(monkeypatch, lawsuite, "jacobi")
+    report = check_jacobi(ctx)
+    assert report.passed and report.checked_cases == n ** 3
+    assert read and all(i < j < k for i, j, k in
+                        (_unflat(c, n, 3) for c in read))
+
+
+def test_failing_antisymmetry_walks_every_column(monkeypatch):
+    """(0, 0, 1) + 1 breaks antisymmetry, so Jacobi reads unsorted
+    columns, and fails where the full walk does."""
+    n = 3
+    ctx = BranchContext(truncated_algebra(n), ThetaTable.from_entries(
+        n, [((0, 0, 1), 1)]))
+    read = _read_columns(monkeypatch, lawsuite, "jacobi")
+    report = check_jacobi(ctx)
+    assert not check_antisymmetry(ctx).passed
+    assert report.to_dict() == oracle_jacobi(ctx).to_dict()
+    assert any(not i < j < k for i, j, k in (_unflat(c, n, 3) for c in read))
+
+
+def _random_theta(rank, seed):
+    rng = random.Random(seed)
+    return ThetaTable.from_entries(rank, [
+        (t, rng.choice([0, 0, 0, 1, -1])) for t in _orbits(rank)])
+
+
+@pytest.mark.parametrize("orders", [[2], [2, 2], [2, 2, 2], [2, 4]])
+def test_compatibility_on_generator_rows_decides_every_pair(orders):
+    """The generator rows pass exactly when every pair does, and a pass
+    reports the same cases as the full walk."""
+    A = group_ring(orders)
+    thetas = [ThetaTable.zero(A.rank)] + \
+        [_random_theta(A.rank, seed) for seed in range(3)]
+    if A.group.has_exponent_two():
+        thetas.append(derive_bialgebra_theta(A))
+    keep = _generator_rows(A)
+    assert keep is not None
+    for theta in thetas:
+        ctx = BranchContext(A, theta)
+        full = _compare(A, sides(ctx, "compatibility"), 2)
+        reduced = _compare(A, sides(ctx, "compatibility"), 2, keep)
+        assert (reduced[1] is None) == (full[1] is None)
+        if full[1] is None:
+            assert reduced == full
+
+
+def test_swapped_product_takes_the_full_walk(monkeypatch):
+    """product_perturbed replaces mul_map after construction, so no proof
+    covers it: every compatibility column up to the failure is read."""
+    ctx = product_perturbed()
+    A = ctx.algebra
+    assert A.generator_indices() is None and _generator_rows(A) is None
+    read = _read_columns(monkeypatch, groupfoam, "compatibility")
+    report = check_bialgebra(A, ctx)
+    assert report.to_dict() == oracle_bialgebra(A, ctx).to_dict()
+    assert read == list(range(report.checked_cases - A.rank))
+
+
+def twisted_product():
+    """group:2,2 with x*x = -1 and x*y*x*y = -1 in place of 1, a product
+    that validation proves associative again, with the generating set
+    {x*y, y} (rows 3 and 1).  The co-operation stays the diagonal, and
+    compatibility first fails at (x, x), in row 2, which is no generator
+    row: the walk on rows 0, 1, 3 finds (x*y, x) first."""
+    ctx = CONTEXTS["group:2,2/group"]()
+    A = ctx.algebra
+    n = A.rank
+    cols = {c: {r: v if not (c // n & 2 and c % n & 2) else -v
+                for r, v in col.items()}
+            for c, col in A.mul_map.cols.items()}
+    A.__dict__["mul_map"] = LinearMap(A.gens, n, 2, 1, cols)
+    A._symbols = {name: A.basis_element(i).vec
+                  for name, i in (("x", 3), ("y", 1))}
+    A._validate_algebra()
+    return ctx
+
+
+def test_failure_off_the_generator_rows_reports_the_full_walk():
+    ctx = twisted_product()
+    A = ctx.algebra
+    assert A.generator_indices() == (1, 3)
+    report = check_bialgebra(A, ctx)
+    assert report.to_dict() == oracle_bialgebra(A, ctx).to_dict()
+    assert report.counterexample["sublaw"] == "compatibility"
+    assert report.counterexample["inputs"] == ["x", "x"]
+    assert report.checked_cases == A.rank + 2 * A.rank + 3
+    reduced = _compare(A, sides(ctx, "compatibility"), 2,
+                       _generator_rows(A))
+    assert reduced[1]["inputs"] == ["x*y", "x"]
+
+
+def test_group_2_4_reads_80_compatibility_columns(monkeypatch):
+    A = group_ring([2] * 4)
+    ctx = BranchContext(A, derive_bialgebra_theta(A))
+    read = _read_columns(monkeypatch, groupfoam, "compatibility")
+    report = check_bialgebra(A, ctx)
+    assert report.passed and report.checked_cases == 16 + 256 + 2 * 16
+    assert len(read) == 80
+    assert {c // 16 for c in read} == {0, 1, 2, 4, 8}
