@@ -30,7 +30,7 @@ many laws and diagrams read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Optional
 
 from .branchops import GENERATORS, BranchContext, LinearMap
@@ -97,6 +97,10 @@ DiagramExpr = Generator | Tensor | Compose
 # -- lexer ---------------------------------------------------------------------
 
 
+# The one-character tokens and their kinds.
+_PUNCTUATION = {";": "SEMI", "*": "STAR", "(": "LPAREN", ")": "RPAREN"}
+
+
 def _lex(src: str):
     tokens = []
     line, col = 1, 1
@@ -143,20 +147,8 @@ def _lex(src: str):
                 tokens.append(("LABEL", payload, start))
             else:
                 tokens.append(("NAME", name, start))
-        elif ch == ";":
-            tokens.append(("SEMI", ";", start))
-            i += 1
-            col += 1
-        elif ch == "*":
-            tokens.append(("STAR", "*", start))
-            i += 1
-            col += 1
-        elif ch == "(":
-            tokens.append(("LPAREN", "(", start))
-            i += 1
-            col += 1
-        elif ch == ")":
-            tokens.append(("RPAREN", ")", start))
+        elif ch in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[ch], ch, start))
             i += 1
             col += 1
         else:
@@ -224,25 +216,19 @@ def parse(src: str) -> DiagramExpr:
             expected=expected,
         )
 
-    def parse_term():
-        first = parse_factor()
+    def parse_sequence(separator, node, parse_part):
+        """One part, or a `node` of the parts that `separator` joins."""
+        first = parse_part()
         parts = [first]
-        while peek()[0] == "STAR":
+        while peek()[0] == separator:
             advance()
-            parts.append(parse_factor())
+            parts.append(parse_part())
         if len(parts) == 1:
             return first
-        return Tensor(parts, pos=first.pos)
+        return node(parts, pos=first.pos)
 
-    def parse_expr():
-        first = parse_term()
-        parts = [first]
-        while peek()[0] == "SEMI":
-            advance()
-            parts.append(parse_term())
-        if len(parts) == 1:
-            return first
-        return Compose(parts, pos=first.pos)
+    parse_term = partial(parse_sequence, "STAR", Tensor, parse_factor)
+    parse_expr = partial(parse_sequence, "SEMI", Compose, parse_term)
 
     expr = parse_expr()
     kind, text, at = peek()
@@ -468,19 +454,18 @@ def _make(ctx: BranchContext, node, parts):
 def side(ctx: BranchContext, terms) -> Side:
     """The column source over `ctx` of sum_t a_t * d_t(x_s, ..., x_k-1, x_0,
     ..., x_s-1), s = s_t, for `terms` of (a_t, s_t, source of d_t) on k
-    input legs x: d_t takes the legs rotated by s_t (`_rotation`).  The
-    terms that read one composed diagram share one cache of its columns,
-    which lives as long as the side; a diagram that only one term reads
-    keeps none, since the walk reads each column once."""
+    input legs x: d_t takes the legs rotated by s_t (`_rotation`).  A term
+    whose diagram is a composition makes each column it reads with its
+    `_Chain.make` and keeps none, since a law's walk reads each column of a
+    term once; `_Chain.made` keeps only the columns of compositions that
+    other diagrams are built from."""
     parsed = [_parsed(text) for _, _, text in terms]
-    keys = [keyed[0] for keyed, _ in parsed]
-    n, out, shared = ctx.algebra.rank, [], {}
-    for (a, s, _), (keyed, (k, _)), key in zip(terms, parsed, keys):
+    n, out = ctx.algebra.rank, []
+    for (a, s, _), (keyed, (k, _)) in zip(terms, parsed):
         parts = factors(ctx, keyed)
         source = _stage(parts)
         if isinstance(source, _Chain):
-            fetch = source.make if keys.count(key) == 1 else \
-                shared.setdefault(key, cache(source.make))
+            fetch = source.make
         else:  # a map's columns or a `_Kron`: None for a zero column
             fetch = lambda c, get=source.get: get(c) or {}
         back = _rotation(k - s, k, n) if s else None

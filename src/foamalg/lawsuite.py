@@ -2,20 +2,21 @@
 
 Every law is one equation lhs == rhs in the table `LAWS`, each side a signed
 sum of diagrams in `foamlang`'s language.  `foamlang.side` compiles the
-sides to column sources over the context's memo, and `_first_unequal_column`
+sides to column sources over the context's memo, and one walk, `_unequal`,
 compares them one input column, that is one basis tuple, at a time in flat
-order, up to the first column where they differ.  Only the columns where a
-side can be nonzero are read, and cases are counted as if every column had
-been.  Two laws also leave out columns that a proof, given in their
-docstrings, shows equal: Jacobi reads only the triples i < j < k once
-antisymmetry holds on the same context (`check_jacobi`), and bialgebra
-compatibility only the rows of e_0 and of the generating set that
-construction proved associativity with (`groupfoam.check_bialgebra`).
+order, yielding each column where they differ; a law stops at the first.
+Only the columns where a side can be nonzero are read, and cases are
+counted as if every column had been.  Two laws also leave out columns that
+a proof, given in their docstrings, shows equal: Jacobi reads only the
+triples i < j < k once antisymmetry holds on the same context
+(`check_jacobi`), and bialgebra compatibility only the rows of e_0 and of
+the generating set that construction proved associativity with
+(`groupfoam.check_bialgebra`).
 Where that proof is missing, a failed antisymmetry or an algebra with no
 recorded generating set for its current product, the full walk runs; a
 failed generator row runs it again to report the first failing pair.  The
-skein identities 1-3 walk on past unequal columns to report the
-first unequal entry in row-major order.  Every check is complete over basis
+skein identities 1-3 read on past unequal columns to report the first
+unequal entry in row-major order.  Every check is complete over basis
 tuples (multilinearity makes basis checking sufficient), and failure is
 data: a LawReport carrying the first counterexample.
 
@@ -29,6 +30,7 @@ one registry of runnable suites.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .branchops import BranchContext
@@ -124,56 +126,45 @@ def _render(A, col: dict, order: int) -> str:
 _HEAD = 16  # input columns walked before any support is computed
 
 
-def _columns(pair, count: int):
-    """The increasing columns, of `count`, where a side of `pair` can be
-    nonzero, all of them if one side can be everywhere; the first _HEAD
-    come first in any case, so a law failing there computes no support."""
+def _unequal(pair, width: int, keep=None):
+    """Check a map equation column by column: yield (c, lhs(c), rhs(c)) at
+    every column c < width where the (lhs, rhs) column sources `pair`
+    differ, in increasing c.  The first _HEAD columns are walked before any
+    support is computed, so a consumer that stops at a difference there
+    computes none; after them only the sorted union of both sides' supports
+    is read, or every column when one side can be nonzero everywhere.
+    Given `keep`, only the columns c where keep(c) holds are read; a caller
+    may leave out a column only where both sides are zero or proven
+    equal."""
     def parts():
-        head = min(_HEAD, count)
+        head = min(_HEAD, width)
         yield range(head)
         support = set()
         for side in pair:
             keys = side.support()
             if keys is None:
-                yield range(head, count)
+                yield range(head, width)
                 return
             support.update(keys)
         support.difference_update(range(head))
         yield sorted(support)
-    return chain.from_iterable(parts())
 
-
-def _first_unequal_column(lhs, rhs, columns):
-    """Check a map equation column by column: lhs(c) and rhs(c) are the two
-    sides' sparse columns, compared for each c of `columns`, an increasing
-    iterable of column indices, in turn up to the first difference.  A
-    caller may leave out a column only where both sides are zero or proven
-    equal.  Returns (c, lhs(c), rhs(c)) there, or None when every column
-    agrees."""
-    for c in columns:
+    lhs, rhs = pair[0].get, pair[1].get
+    columns = chain.from_iterable(parts())
+    for c in columns if keep is None else filter(keep, columns):
         a, b = lhs(c), rhs(c)
         if a != b:
-            return c, a, b
-    return None
-
-
-def _walk(pair, width: int, keep=None):
-    """`_first_unequal_column` over the (lhs, rhs) column sources `pair`;
-    given `keep`, only on the columns c where keep(c) holds."""
-    lhs, rhs = pair
-    columns = _columns(pair, width)
-    if keep is not None:
-        columns = filter(keep, columns)
-    return _first_unequal_column(lhs.get, rhs.get, columns)
+            yield c, a, b
 
 
 def _compare(A, pair, in_order: int, keep=None):
-    """`_walk` on maps A^(x)in_order -> A^(x)out: the position of the first
-    unequal column, or the number of columns, and the counterexample there
-    or None.  `keep` is `_walk`'s, for a caller whose proof covers the
-    columns it leaves out."""
+    """The first unequal column (`_unequal`) of the (lhs, rhs) column
+    sources `pair` of maps A^(x)in_order -> A^(x)out: its position plus
+    one, or the number of columns, and the counterexample there or None.
+    `keep` is `_unequal`'s, for a caller whose proof covers the columns it
+    leaves out."""
     width = A.rank ** in_order
-    found = _walk(pair, width, keep)
+    found = next(_unequal(pair, width, keep), None)
     if found is None:
         return width, None
     c, a, b = found
@@ -216,9 +207,9 @@ def check_jacobi(ctx: BranchContext) -> LawReport:
     When antisymmetry fails, every column is walked.
     """
     n = ctx.algebra.rank
-    if _walk(sides(ctx, "antisymmetry"), n * n) is not None:
-        return _law_report("jacobi", ctx)
     nn = n * n
+    if next(_unequal(sides(ctx, "antisymmetry"), nn), None) is not None:
+        return _law_report("jacobi", ctx)
     return _law_report("jacobi", ctx,
                        lambda c: c // nn < c // n % n < c % n)
 
@@ -244,13 +235,11 @@ def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
 
 def _first_unequal_entry(A, pair, order: int):
     """The counterexample at the first unequal entry, in row-major order, of
-    the (lhs, rhs) maps A^(x)order -> A^(x)order, or None.  The columns are
-    walked in increasing order, so the first to reach a row is that row's
-    smallest; a difference in row 0 ends the walk."""
+    the (lhs, rhs) maps A^(x)order -> A^(x)order, or None.  The unequal
+    columns come in increasing order, so the first to reach a row is that
+    row's smallest; a difference in row 0 ends the walk."""
     n, best = A.rank, None
-    columns = _columns(pair, n ** order)
-    while found := _first_unequal_column(pair[0].get, pair[1].get, columns):
-        c, a, b = found
+    for c, a, b in _unequal(pair, n ** order):
         r = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         if best is None or r < best[0]:
             best = r, c, a.get(r), b.get(r)
@@ -288,15 +277,24 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
     when the -counit form holds instead.
     """
     A, n = ctx.algebra, ctx.algebra.rank
+
+    @cache
+    def holds_negated(law: str, D: str) -> bool:
+        """Whether `law` holds with its rhs negated; walked once for both
+        the law's note and the pointwise kernel's."""
+        pair = sides(ctx, law, -1, D)
+        return next(_unequal(pair, n ** LAWS[law][0]), None) is None
+
     reports: list[LawReport] = []
     for variant, D in (("cocomul_skein", "bcomul_skein"),
                        ("cocomul", "bcomul")):
-        for law, order in (("skein_identity_1", 2), ("skein_identity_2", 2),
-                           ("skein_identity_3", 1)):
+        for law in ("skein_identity_1", "skein_identity_2",
+                    "skein_identity_3"):
+            order = LAWS[law][0]
             cx = _first_unequal_entry(A, sides(ctx, law, D=D), order)
             note = None
-            if cx is not None and law in _SKEIN_NOTES and _walk(
-                    sides(ctx, law, -1, D), n ** order) is None:
+            if cx is not None and law in _SKEIN_NOTES and \
+                    holds_negated(law, D):
                 note = _SKEIN_NOTES[law]
             reports.append(LawReport(
                 law=law, variant=variant, passed=cx is None,
@@ -308,8 +306,7 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
     _, cx = _compare(A, sides(ctx, "skein_pointwise_kernel",
                               D="bcomul"), 2)
     note = None
-    if cx is not None and _walk(sides(ctx, "skein_identity_1", -1,
-                                      "bcomul"), n * n) is None:
+    if cx is not None and holds_negated("skein_identity_1", "bcomul"):
         note = ("holds with the opposite counit sign: "
                 "lhs = e_j⊗e_i - counit(e_i*e_j)*delta_one")
     reports.append(LawReport(

@@ -519,12 +519,41 @@ class TestReport:
          "59b29c18b3bfc43f196ddbf4c0ab79bd6b909035823be06f839d45f527ecbb4c"),
         ("group:2,2,2,2", "group", 1,
          "89da946e02ae17a6f953701837f5abfbb055f041c4e868b9bfe2b32b3556f9d1"),
+        ("aN:21", "lie", 1,
+         "0e494ec0197f92b7d612c2f947d66384bd11861c56f7f66233b983904f136df6"),
+        ("aN:41", "lie", 1,
+         "7c2c28c176f436938ded1def82df055d68289da2e94ac20e5447d2b89bda4e5d"),
+        ("aN:63", "lie", 1,
+         "35012098ddf1c632246e3b18b7b9853ccad05b3ec1b1a839d0780154b4d7035b"),
+        ("aN:64", "zero", 1,
+         "b203b3b5f41b78525da07dedd4b8ab209451239642a631e6c8fa15551fcfe151"),
+        ("group:2,2,2,2,2,2", "group", 1,
+         "15c9f7eddf22fc4b2b2c8a7537b6d8130e693dcc9556a901902331864427486b"),
+        ("group:3,3", "zero", 1,
+         "165afcf8d087be2c7ded00fcc6bbe967a43cfae4b8687bb561a3421482477717"),
     ])
     def test_golden_digest(self, capsys, algebra, theta, code, digest):
         got, out, err = run(capsys, "report", "--algebra", algebra,
                             "--theta", theta)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_each_law_is_walked_once(self, capsys, monkeypatch):
+        """A report builds the sides of each (law, sign, D) once, apart
+        from antisymmetry, which Jacobi walks again on its context."""
+        built = []
+        for module in (lawsuite, groupfoam):
+            def counting(ctx, law, sign=1, D="", sides=module.sides):
+                built.append((law, sign, D))
+                return sides(ctx, law, sign, D)
+            monkeypatch.setattr(module, "sides", counting)
+        code, _, _ = run(capsys, "report", "--algebra", "aN:15",
+                         "--theta", "lie")
+        assert code == 1
+        twice = {key for key in built if built.count(key) > 1}
+        assert twice == {("antisymmetry", 1, "")}
+        assert built.count(("antisymmetry", 1, "")) == 2
+        assert ("skein_identity_1", -1, "bcomul") in built
 
     def test_deterministic(self, capsys):
         _, out1, _ = run(capsys, "report", "--algebra", "mv", "--theta", "mv")

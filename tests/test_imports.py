@@ -1,6 +1,6 @@
-"""The import graph of the package: `branchops` is below the diagram
-language, the law suite and the CLI, at module level and inside functions
-alike, so no import cycle runs through it."""
+"""The imports of the package: `branchops` is below the diagram language,
+the law suite and the CLI, at module level and inside functions alike, so no
+import cycle runs through it; and no module-level import is left unused."""
 
 import ast
 from pathlib import Path
@@ -30,3 +30,30 @@ def test_branchops_imports_none_of_its_users():
     assert "groupfoam" in relative_imports("lawsuite")
     users = {"foamlang", "lawsuite", "groupfoam", "cli"}
     assert relative_imports("branchops") & users == set()
+
+
+def unused_imports(name: str) -> list[str]:
+    """The names that a module-level import of module `name` binds and that
+    the module neither reads nor lists in `__all__`."""
+    path = PACKAGE / f"{name}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    bound = [(alias.asname or alias.name).split(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {elt.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)
+                for elt in node.value.elts}
+    return [n for n in bound if n not in read | exported]
+
+
+def test_every_module_level_import_is_used():
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
+    assert "lawsuite" in modules
+    unused = {name: unused_imports(name) for name in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

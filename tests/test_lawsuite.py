@@ -9,8 +9,9 @@ from foamalg.lawsuite import (
     LAWS,
     SUITE_NAMES,
     SUITES,
+    _HEAD,
     LawReport,
-    _first_unequal_column,
+    _unequal,
     check_antisymmetry,
     check_cocomul_two_sided,
     check_delta_one_resolution,
@@ -74,8 +75,9 @@ class TestJacobi:
         assert report.passed
 
     def test_shared_columns_live_only_with_the_side(self):
-        """The three rotations of one diagram share its n^3 columns while
-        the law is walked; the context's memo keeps none of them after."""
+        """The three rotations of one diagram each make their columns
+        through its chain, and the context's memo keeps none of them after
+        the law is walked."""
         ctx = lie_ctx(7)
         assert check_jacobi(ctx).passed
         (chain,) = ctx.memo[pretty(parse("(id * bmul) ; bmul"))]
@@ -266,31 +268,57 @@ class TestSuite:
         assert all("law" in entry and "passed" in entry for entry in parsed)
 
 
-class TestFirstUnequalColumn:
-    def test_first_unequal_column(self):
-        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
-        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[c],
-                                     range(4)) is None
-        assert _first_unequal_column(lambda c: cols[c], lambda c: {},
-                                     range(4)) == (0, {0: 1}, {})
-        assert _first_unequal_column(lambda c: cols[c], lambda c: cols[2],
-                                     range(4)) == (0, {0: 1}, {1: 2})
-        assert _first_unequal_column(lambda c: cols[c],
-                                     lambda c: cols[c - c // 3], range(4)) == \
-            (3, {1: 3}, {1: 2})
+class _Source:
+    """A column source over the sparse columns `cols` that records the
+    columns read and the calls of `support()`, which gives `keys`."""
 
-    def test_first_unequal_column_walks_only_the_given_columns(self):
-        cols = [{0: 1}, {}, {1: 2}, {1: 3}]
-        walked = []
+    def __init__(self, cols, keys=None):
+        self.cols, self.keys, self.read, self.supports = cols, keys, [], 0
 
-        def lhs(c):
-            walked.append(c)
-            return cols[c]
+    def get(self, c):
+        self.read.append(c)
+        return self.cols.get(c, {})
 
-        assert _first_unequal_column(lhs, lambda c: {}, (2, 3)) == \
-            (2, {1: 2}, {})
-        assert walked == [2]
-        assert _first_unequal_column(lhs, lambda c: {}, iter(())) is None
+    def support(self):
+        self.supports += 1
+        return self.keys
+
+
+class TestUnequal:
+    LHS = {3: {0: 1}, 20: {1: 2}, 30: {0: 5}}
+    RHS = {3: {0: 1}, 30: {0: 4}, 35: {2: 1}}
+    FOUND = [(20, {1: 2}, {}), (30, {0: 5}, {0: 4}), (35, {}, {2: 1})]
+
+    @pytest.mark.parametrize("supported", [False, True])
+    def test_yields_every_unequal_column_in_order(self, supported):
+        """Past the head, either every column is read, when a side can be
+        nonzero everywhere, or only the sorted union of the supports."""
+        lhs = _Source(self.LHS, set(self.LHS) if supported else None)
+        rhs = _Source(self.RHS, set(self.RHS) if supported else None)
+        assert list(_unequal((lhs, rhs), 40)) == self.FOUND
+        assert lhs.read == rhs.read == (
+            [*range(_HEAD), 20, 30, 35] if supported else list(range(40)))
+        assert lhs.supports == 1
+
+    def test_equal_sides_yield_nothing(self):
+        pair = _Source(self.LHS), _Source(dict(self.LHS))
+        assert list(_unequal(pair, 40)) == []
+
+    def test_keep_reads_no_other_column(self):
+        lhs, rhs = _Source(self.LHS), _Source(self.RHS)
+        keep = lambda c: c % 10 == 0
+        assert list(_unequal((lhs, rhs), 40, keep)) == self.FOUND[:2]
+        assert lhs.read == rhs.read == [0, 10, 20, 30]
+
+    def test_a_difference_in_the_head_computes_no_support(self):
+        lhs = _Source({5: {0: 1}, 20: {0: 1}}, {5, 20})
+        rhs = _Source({}, set())
+        walk = _unequal((lhs, rhs), 40)
+        assert next(walk) == (5, {0: 1}, {})
+        assert lhs.read == list(range(6))
+        assert lhs.supports == rhs.supports == 0
+        assert list(walk) == [(20, {0: 1}, {})]
+        assert lhs.supports == rhs.supports == 1
 
 
 class TestLawTable:
