@@ -66,8 +66,8 @@ class BranchContext:
         for (k, i, j), t in self.theta.entries.items():
             weights.setdefault(i * n + j, []).append((k, t))
         duals = A.dual_map.cols
-        return LinearMap(A.gens, n, 2, 1,
-                         {ij: _push(duals, w) for ij, w in weights.items()})
+        return LinearMap._canonical(
+            A.gens, n, 2, 1, {ij: _push(duals, w) for ij, w in weights.items()})
 
     @cached_property
     def theta_map(self) -> LinearMap:
@@ -106,8 +106,8 @@ class BranchContext:
     def mul_by_map(self, u: AlgebraElement) -> LinearMap:
         """The 1 -> 1 matrix of multiplication by a fixed element."""
         A = self.algebra
-        return LinearMap(A.gens, A.rank, 1, 1,
-                         A._mul_by_columns(A._own(u).vec))
+        return LinearMap._canonical(A.gens, A.rank, 1, 1,
+                                    A._mul_by_columns(A._own(u).vec))
 
     def linear_map(self, name: str) -> LinearMap:
         """Exact matrix of the generator `name` of `GENERATORS`, a name of

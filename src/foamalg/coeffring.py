@@ -157,10 +157,12 @@ class MultiPoly:
 
     @classmethod
     def _product(cls, gens: tuple, packed: dict) -> "MultiPoly":
-        """Wrap a packed term map that `_mul_into` accumulated: drop the
-        zeros that cancellation left, and refuse a key with a field at
-        EXPONENT_LIMIT, on which the next product could carry."""
-        packed = {e: c for e, c in packed.items() if c}
+        """Wrap a packed term map that `_mul_into` accumulated, which the
+        caller hands over: drop the zeros that cancellation left (the map is
+        copied only then), and refuse a key with a field at EXPONENT_LIMIT,
+        on which the next product could carry."""
+        if 0 in packed.values():
+            packed = {e: c for e, c in packed.items() if c}
         if packed and reduce(operator.or_, packed) & _top_bits(len(gens)):
             raise ValueError(
                 f"a product has an exponent of {EXPONENT_LIMIT} or more"

@@ -498,8 +498,8 @@ def compile_diagram(e: DiagramExpr, ctx: BranchContext) -> LinearMap:
             f"the maximum {MAX_MATRIX_CELLS}")
     _check_label_degrees(e)
     whole = _stage(factors(ctx, _keyed(e)))
-    cols = {c: whole.get(c) or {} for c in range(n ** ins)}
-    return LinearMap(A.gens, n, ins, outs, cols)
+    cols = {c: whole.get(c) for c in range(n ** ins)}
+    return LinearMap._canonical(A.gens, n, ins, outs, cols)
 
 
 def eval_closed(e: DiagramExpr, ctx: BranchContext) -> MultiPoly:

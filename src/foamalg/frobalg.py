@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from .coeffring import MultiPoly, _fields, _mul_into, parse_expression
+from .coeffring import MultiPoly, _fields, _is_one, _mul_into, parse_expression
 
 
 class DegenerateFormError(ValueError):
@@ -202,25 +202,33 @@ def _push(columns, vector) -> dict:
     `columns` maps an input index to a sparse column {output index: value};
     the result is sparse too, with zero entries dropped.  Every coefficient
     and entry must lie in one ring; callers check that.  This is the one
-    routine that scales structure-map columns and accumulates them: every
-    product c_j * v goes straight into one term map per output index, and
-    each sum is wrapped as a polynomial once, at the end.
+    routine that scales structure-map columns and accumulates them.  A zero
+    weight adds nothing.  An output fed by one product c_j * v with c_j or
+    v the constant 1 is the other factor itself, shared (values are
+    immutable); a second product into it copies that factor's terms first.
+    Every other product goes straight into one term map per output index,
+    and each sum is wrapped as a polynomial once, at the end.
     """
     acc, gens = {}, None
     for j, c in vector:
         col = columns.get(j)
-        if not col:
+        if not col or not c._packed:
             continue
-        ct = c._packed
+        ct, gens = c._packed, c.gens
+        unit = _is_one(ct)
         for i, v in col.items():
             terms = acc.get(i)
             if terms is None:
+                if unit or _is_one(v._packed):
+                    acc[i] = v if unit else c
+                    continue
                 terms = acc[i] = {}
+            elif type(terms) is MultiPoly:
+                terms = acc[i] = dict(terms._packed)
             _mul_into(terms, ct, v._packed)
-        gens = c.gens
     out = {}
-    for i, terms in acc.items():
-        p = MultiPoly._product(gens, terms)
+    for i, t in acc.items():
+        p = t if type(t) is MultiPoly else MultiPoly._product(gens, t)
         if p._packed:
             out[i] = p
     return out
@@ -228,7 +236,14 @@ def _push(columns, vector) -> dict:
 
 def _kron(a: dict, b: dict, width: int) -> dict:
     """Kronecker product of two sparse vectors, b's indices running fastest
-    over `width` values."""
+    over `width` values.  When one factor is a single entry equal to 1, the
+    product is the other relabelled, its entries shared."""
+    if len(a) == 1 and _is_one(next(iter(a.values()))._packed):
+        shift = next(iter(a)) * width
+        return {shift + j: y for j, y in b.items()}
+    if len(b) == 1 and _is_one(next(iter(b.values()))._packed):
+        j = next(iter(b))
+        return {i * width + j: x for i, x in a.items()}
     return {i * width + j: x * y for i, x in a.items() for j, y in b.items()}
 
 
@@ -307,6 +322,16 @@ class LinearMap:
         self.cols = canon
 
     @classmethod
+    def _canonical(cls, gens, n, in_order, out_order, cols) -> "LinearMap":
+        """Wrap columns canonical by construction (results of `>>`, `@` and
+        `_push`, columns of checked maps): empty ones are dropped, and no
+        index, entry or ring is checked, unlike the public constructor."""
+        m = object.__new__(cls)
+        m.gens, m.n, m.in_order, m.out_order = gens, n, in_order, out_order
+        m.cols = {c: col for c, col in cols.items() if col}
+        return m
+
+    @classmethod
     def identity(cls, gens, n: int, order: int = 1) -> "LinearMap":
         one = MultiPoly.one(gens)
         return cls(gens, n, order, order, {j: {j: one} for j in range(n ** order)})
@@ -325,7 +350,8 @@ class LinearMap:
         if other.gens != self.gens:
             raise ValueError(f"generator mismatch: {self.gens} vs {other.gens}")
         cols = {c: _push(other.cols, col.items()) for c, col in self.cols.items()}
-        return LinearMap(self.gens, self.n, self.in_order, other.out_order, cols)
+        return LinearMap._canonical(self.gens, self.n, self.in_order,
+                                    other.out_order, cols)
 
     def __matmul__(self, other: "LinearMap") -> "LinearMap":
         """Kronecker product, self on the more significant legs."""
@@ -339,7 +365,7 @@ class LinearMap:
             ca * width_in + cb: _kron(a, b, width_out)
             for ca, a in self.cols.items() for cb, b in other.cols.items()
         }
-        return LinearMap(
+        return LinearMap._canonical(
             self.gens, self.n,
             self.in_order + other.in_order,
             self.out_order + other.out_order,
@@ -365,7 +391,8 @@ class LinearMap:
                      ((0, one), (1, one)))
             for c in self.cols.keys() | other.cols.keys()
         }
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
+        return LinearMap._canonical(self.gens, self.n, self.in_order,
+                                    self.out_order, cols)
 
     def __sub__(self, other):
         return self + (-self._same_shape(other))
@@ -376,7 +403,8 @@ class LinearMap:
     def scale(self, c) -> "LinearMap":
         c = MultiPoly.of(self.gens, c)
         cols = {j: _push({0: col}, ((0, c),)) for j, col in self.cols.items()}
-        return LinearMap(self.gens, self.n, self.in_order, self.out_order, cols)
+        return LinearMap._canonical(self.gens, self.n, self.in_order,
+                                    self.out_order, cols)
 
     def __rmul__(self, other):
         if isinstance(other, (int, MultiPoly)):
@@ -610,7 +638,8 @@ class FrobeniusAlgebra:
 
     @cached_property
     def unit_map(self) -> LinearMap:
-        return LinearMap(self.gens, self.rank, 0, 1, {0: self.unit.vec})
+        return LinearMap._canonical(self.gens, self.rank, 0, 1,
+                                    {0: self.unit.vec})
 
     @cached_property
     def pairing_map(self) -> LinearMap:
@@ -621,7 +650,7 @@ class FrobeniusAlgebra:
     def delta_one_map(self) -> LinearMap:
         """sum_i y_i (x) e_i: entry (a, i) is entry (a, i) of dual_map."""
         n = self.rank
-        return LinearMap(self.gens, n, 0, 2, {0: {
+        return LinearMap._canonical(self.gens, n, 0, 2, {0: {
             a * n + i: c
             for i, y in self.dual_map.cols.items() for a, c in y.items()
         }})
@@ -633,7 +662,7 @@ class FrobeniusAlgebra:
     @cached_property
     def swap_map(self) -> LinearMap:
         n, one = self.rank, MultiPoly.one(self.gens)
-        return LinearMap(self.gens, n, 2, 2, {
+        return LinearMap._canonical(self.gens, n, 2, 2, {
             i * n + j: {j * n + i: one} for i in range(n) for j in range(n)
         })
 

@@ -258,18 +258,25 @@ class TestEval:
     @staticmethod
     def count_maps_after_context(monkeypatch):
         """Record every LinearMap built once the context exists, that is
-        every map that compilation builds."""
+        every map that compilation builds, through the public constructor
+        or the internal `_canonical`."""
         built = []
         build_context = cli.build_context
-        init = LinearMap.__init__
+        init, canonical = LinearMap.__init__, LinearMap._canonical
 
         def counting_init(self, *args):
             built.append(args)
             init(self, *args)
 
+        def counting_canonical(cls, *args):
+            built.append(args)
+            return canonical(*args)
+
         def build_then_count(args):
             ctx = build_context(args)
             monkeypatch.setattr(LinearMap, "__init__", counting_init)
+            monkeypatch.setattr(LinearMap, "_canonical",
+                                classmethod(counting_canonical))
             return ctx
 
         monkeypatch.setattr(cli, "build_context", build_then_count)
@@ -559,6 +566,74 @@ class TestReport:
         _, out1, _ = run(capsys, "report", "--algebra", "mv", "--theta", "mv")
         _, out2, _ = run(capsys, "report", "--algebra", "mv", "--theta", "mv")
         assert out1 == out2
+
+
+# SHA-256 of `eval --format json` bytes, recorded before the kernel shared
+# entries of a factor equal to 1 and relabelled Kronecker products with `id`;
+# each diagram has a factor of 1 on one side or the other, or a sum that
+# cancels.
+EVAL_GOLDENS = [
+    ("mv", "mv", "id * mul",
+     "d0cfda8753de6eb9bb9c8fb39d4bb9820eb612419c93e27700e3710813d46c3e"),
+    ("mv", "mv", "mul * id",
+     "39bb95c2c9d1835a1106f54ac7ac75075f727dbc04953f604d71e14e2b8fbac5"),
+    ("mv", "mv", "(unit * id) ; mul",
+     "2a7affde293146eac173dfba810471ec72e189215ce9c1dd029d4647f97378db"),
+    ("mv", "mv", "(id * unit) ; swap",
+     "a15007000b17e15dca5b8f0a2f0e8cb7898bdfdfecdf7b0f7ceeaf0a12c41cd8"),
+    ("mv", "mv", "comul ; (id * label(a*X - b))",
+     "afca84a1b568d1edb692aff9fecb2e54fd62c6ecae92e1ca2e6df9b7542d8cd9"),
+    ("mv", "mv", "label(X - X) * id",
+     "f8b03a1f9dfe09e6a4e01a30b483fddb54cf8f9d8da6cddf16f3ac75d88f812f"),
+    ("mv", "mv", "bcomul_skein ; bmul",
+     "e0ab71b30b4dbd860d1be5cf6f7f7c4f4c4b2ea206b1041426ad7acc39a6e608"),
+    ("aN:5", "lie", "(id * bmul) ; bmul",
+     "80ee3cc47945ab8ab62f5ea870cc2490eb7ac960295d640c0eb47d1fa709cf50"),
+    ("group:2,2", "group", "diag ; (aug * id)",
+     "969bd4bd6e911b5ffeda9c53d1954a588556532a281dec2eb2197b90ea1c1038"),
+    ("group:2,2", "group", "bcomul ; (id * aug)",
+     "969bd4bd6e911b5ffeda9c53d1954a588556532a281dec2eb2197b90ea1c1038"),
+]
+
+
+class TestKernelBuiltMaps:
+    @pytest.mark.parametrize("algebra, theta, expr, digest", EVAL_GOLDENS)
+    def test_eval_golden_digest(self, capsys, algebra, theta, expr, digest):
+        code, out, err = run(capsys, "eval", "--algebra", algebra, "--theta",
+                             theta, "--format", "json", "--expr", expr)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_internal_maps_rebuild_through_the_public_constructor(
+            self, capsys, monkeypatch):
+        """Every map that `LinearMap._canonical` wraps unchecked, in reports
+        and in the golden diagrams, is one the public constructor accepts
+        and leaves as it is: no empty column, no zero entry, no index out
+        of range and no entry of another ring."""
+        built = []
+        canonical = LinearMap._canonical
+
+        def recording(cls, *args):
+            m = canonical(*args)
+            built.append(m)
+            return m
+
+        monkeypatch.setattr(LinearMap, "_canonical", classmethod(recording))
+        for algebra, theta in (("mv", "mv"), ("aN:9", "lie"),
+                               ("group:2,2,2", "group")):
+            run(capsys, "report", "--algebra", algebra, "--theta", theta)
+        for algebra, theta, expr, _ in EVAL_GOLDENS:
+            assert run(capsys, "eval", "--algebra", algebra, "--theta", theta,
+                       "--expr", expr)[0] == 0
+        assert len(built) > 20
+        for m in built:
+            ncols, nrows = m.n ** m.in_order, m.n ** m.out_order
+            assert LinearMap(m.gens, m.n, m.in_order, m.out_order,
+                             m.cols) == m
+            for c, col in m.cols.items():
+                assert col and 0 <= c < ncols
+                for r, v in col.items():
+                    assert v and v.gens == m.gens and 0 <= r < nrows
 
 
 class TestConfig:

@@ -350,6 +350,19 @@ class TestPackedKernel:
         with pytest.raises(ValueError, match="exponent"):
             _push({0: {0: q}}, [(0, p)])
 
+    def test_product_drops_cancelled_terms(self):
+        """`_product` copies the term map only to drop a cancelled term."""
+        x, y = MultiPoly.gen(WIDE, "x"), MultiPoly.gen(WIDE, "y")
+        assert (x + y) * (x - y) == x * x - y * y
+        assert dict(((x + y) * (x - y)).terms) == {
+            (0, 2, 0, 0): 1, (0, 0, 2, 0): -1}
+        cancelled = {1 << 16: 0, 5: 2, 0: 0}
+        got = MultiPoly._product(WIDE, cancelled)
+        assert got._packed == {5: 2} and cancelled == {1 << 16: 0, 5: 2, 0: 0}
+        assert MultiPoly._product(WIDE, {0: 0}) == MultiPoly.zero(WIDE)
+        kept = {1 << 16: 3, 5: -2}
+        assert MultiPoly._product(WIDE, kept)._packed is kept
+
     @given(wide_pairs)
     def test_str_is_rendered_in_tuple_order(self, pairs):
         assert str(MultiPoly(WIDE, pairs)) == render(WIDE, summed(pairs))

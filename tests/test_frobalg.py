@@ -943,14 +943,20 @@ def unfused_push(columns, vector):
     return {i: v for i, v in out.items() if v}
 
 
+# 0, 1 and -1 often: `_push` shares a factor of 1 and skips a weight of 0.
+push_polys = st.one_of(
+    st.sampled_from([MultiPoly.const(MV_GENS, c) for c in (0, 1, -1)]),
+    small_polys)
+
+
 class TestPush:
     @given(
         st.dictionaries(
             st.integers(0, 5),
-            st.dictionaries(st.integers(0, 4), small_polys, max_size=4),
+            st.dictionaries(st.integers(0, 4), push_polys, max_size=4),
             max_size=5,
         ),
-        st.lists(st.tuples(st.integers(0, 6), small_polys), max_size=6),
+        st.lists(st.tuples(st.integers(0, 6), push_polys), max_size=6),
     )
     def test_matches_unfused_sum(self, columns, vector):
         got = _push(columns, vector)
@@ -958,6 +964,23 @@ class TestPush:
         for v in got.values():
             assert v.gens == MV_GENS and v.terms
             assert all(c != 0 for c in v.terms.values())
+
+    def test_a_single_product_with_one_shares_the_other_factor(self):
+        one, p, q = (mv_poly(s) for s in ("1", "a*b - c^2", "2*a + 1"))
+        assert _push({0: {3: p}}, [(0, one)])[3] is p
+        assert _push({0: {3: one}}, [(0, p)])[3] is p
+        # A second product into a shared output leaves the shared value as
+        # it was.
+        got = _push({0: {3: p}, 1: {3: one}}, [(0, one), (1, q)])
+        assert got == {3: p + q}
+        assert p == mv_poly("a*b - c^2") and q == mv_poly("2*a + 1")
+
+    def test_a_zero_weight_adds_nothing(self):
+        zero, one, x2 = mv_poly("0"), mv_poly("1"), mv_poly("a^2")
+        assert _push({0: {0: one}}, [(0, zero)]) == {}
+        for vector in ([(0, zero), (1, one)], [(1, one), (0, zero)]):
+            got = _push({0: {0: x2}, 1: {0: one}}, vector)
+            assert got == {0: one} and got[0] is one
 
     def test_map_equality_compares_rings(self, mv):
         assert LinearMap((), 3, 1, 1, {}) != LinearMap(("a",), 3, 1, 1, {})
@@ -1011,6 +1034,36 @@ class TestColumnsOnDemand:
                     lazy = _Kron(*factors)
                     for j in range(3 ** whole.in_order):
                         assert (lazy.get(j) or {}) == whole.cols.get(j, {})
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_kron_with_id_relabels_without_products(self, mv, monkeypatch,
+                                                     side):
+        """A factor column that is one entry equal to 1 shifts the other
+        column's indices: no coefficient is multiplied, on either side."""
+        ident = mv.identity_map
+        for f in self.maps(mv):
+            factors = (ident, f) if side == "left" else (f, ident)
+            n_out = 3 ** factors[1].out_order
+            want = {ca * 3 ** factors[1].in_order + cb: {
+                        i * n_out + j: x * y
+                        for i, x in a.items() for j, y in b.items()}
+                    for ca, a in factors[0].cols.items()
+                    for cb, b in factors[1].cols.items()}
+            products = []
+
+            def counted(p, q, mul=MultiPoly.__mul__):
+                products.append(1)
+                return mul(p, q)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(MultiPoly, "__mul__", counted)
+                patch.setattr(MultiPoly, "__rmul__", counted)
+                whole = factors[0] @ factors[1]
+                lazy = _Kron(*factors)
+                got = {j: lazy.get(j) for j in range(3 ** whole.in_order)}
+            assert products == []
+            assert whole.cols == want
+            assert {j: c for j, c in got.items() if c} == whole.cols
 
     def test_column_matches_the_whole_composite(self, mv):
         comul = self.comul(mv)

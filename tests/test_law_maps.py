@@ -449,6 +449,26 @@ def test_views_read_back_the_maps(name):
                 ctx.bracket_map.apply(A.tensor(e[i], e[j]))
 
 
+def _record_widths(monkeypatch) -> list:
+    """Record the input width n^in_order of every LinearMap built from now
+    on, through the public constructor or the internal `_canonical`."""
+    widths = []
+    init, canonical = LinearMap.__init__, LinearMap._canonical
+
+    def recording_init(self, gens, n, in_order, out_order, cols):
+        widths.append(n ** in_order)
+        init(self, gens, n, in_order, out_order, cols)
+
+    def recording_canonical(cls, gens, n, in_order, out_order, cols):
+        widths.append(n ** in_order)
+        return canonical(gens, n, in_order, out_order, cols)
+
+    monkeypatch.setattr(LinearMap, "__init__", recording_init)
+    monkeypatch.setattr(LinearMap, "_canonical",
+                        classmethod(recording_canonical))
+    return widths
+
+
 @pytest.mark.parametrize("check", [check_antisymmetry, check_jacobi])
 def test_early_exit_builds_no_whole_map(monkeypatch, check):
     """On group:2^6 both laws fail at their first column; reading the
@@ -457,14 +477,7 @@ def test_early_exit_builds_no_whole_map(monkeypatch, check):
     A = group_ring([2] * 6)
     ctx = BranchContext(A, derive_bialgebra_theta(A))
     n = A.rank
-    widths = []
-    init = LinearMap.__init__
-
-    def recording_init(self, gens, n, in_order, out_order, cols):
-        widths.append(n ** in_order)
-        init(self, gens, n, in_order, out_order, cols)
-
-    monkeypatch.setattr(LinearMap, "__init__", recording_init)
+    widths = _record_widths(monkeypatch)
     report = check(ctx)
     assert not report.passed and report.checked_cases == 1
     assert widths and max(widths) <= n * n
@@ -477,14 +490,7 @@ def test_skein_builds_no_whole_map(monkeypatch):
     A = group_ring([2] * 6)
     ctx = BranchContext(A, derive_bialgebra_theta(A))
     n = A.rank
-    widths = []
-    init = LinearMap.__init__
-
-    def recording_init(self, gens, n, in_order, out_order, cols):
-        widths.append(n ** in_order)
-        init(self, gens, n, in_order, out_order, cols)
-
-    monkeypatch.setattr(LinearMap, "__init__", recording_init)
+    widths = _record_widths(monkeypatch)
     reports = check_skein_identities(ctx)
     assert [r.checked_cases for r in reports] == [n * n, n * n, n] * 2 + \
         [n * n]
