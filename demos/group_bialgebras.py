@@ -46,7 +46,7 @@ print("== A wrong table is caught immediately ==")
 from foamalg import ThetaTable
 
 A2 = group_ring([2])
-bad = ThetaTable.from_entries(2, [((0, 0, 0), 1)], gens=A2.gens)
+bad = ThetaTable(A2.gens, 2, [((0, 0, 0), 1)])
 rep = check_bialgebra(A2, BranchContext(A2, bad))
 print("only theta(1,1,1)=1:", "pass" if rep.passed else "fail")
 print("counterexample:", rep.counterexample)

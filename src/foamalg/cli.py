@@ -171,7 +171,7 @@ def build_theta(spec: str, algebra: FrobeniusAlgebra, config_theta=None):
     try:
         parsed = [((i, j, k), parse_poly(str(expr), algebra.gens))
                   for i, j, k, expr in entries]
-        return ThetaTable.from_entries(algebra.rank, parsed, gens=algebra.gens)
+        return ThetaTable(algebra.gens, algebra.rank, parsed)
     except ValueError as exc:
         raise SpecError(f"bad theta entries: {exc}") from exc
 

@@ -107,7 +107,7 @@ class MultiPoly:
     pass the EXPONENT_LIMIT check in `_product`.
     """
 
-    __slots__ = ("gens", "_packed", "_terms", "_hash")
+    __slots__ = ("gens", "_packed")
 
     def __init__(self, gens: Sequence[str], terms):
         """Build from a mapping or (exponent vector, coefficient) pairs.
@@ -140,8 +140,6 @@ class MultiPoly:
                 del canon[key]
         self.gens = gens
         self._packed = canon
-        self._terms = None
-        self._hash = None
 
     @classmethod
     def _canonical(cls, gens: tuple, packed: dict) -> "MultiPoly":
@@ -151,8 +149,6 @@ class MultiPoly:
         p = object.__new__(cls)
         p.gens = gens
         p._packed = packed
-        p._terms = None
-        p._hash = None
         return p
 
     @classmethod
@@ -172,13 +168,10 @@ class MultiPoly:
     @property
     def terms(self) -> Mapping:
         """The term map {exponent tuple: coefficient}: a read-only view,
-        built on first access."""
-        if self._terms is None:
-            width = len(self.gens)
-            self._terms = MappingProxyType(
-                {_unpack(e, width): c for e, c in self._packed.items()}
-            )
-        return self._terms
+        built on each read."""
+        width = len(self.gens)
+        return MappingProxyType(
+            {_unpack(e, width): c for e, c in self._packed.items()})
 
     # -- constructors ------------------------------------------------------
 
@@ -300,9 +293,10 @@ class MultiPoly:
         return self.gens == other.gens and self._packed == other._packed
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.gens, frozenset(self._packed.items())))
-        return self._hash
+        """A constant hashes as its int, which it equals."""
+        if self.is_constant():
+            return hash(self._packed.get(0, 0))
+        return hash((self.gens, frozenset(self._packed.items())))
 
     def __bool__(self):
         return bool(self._packed)

@@ -282,6 +282,15 @@ def _column(stages, c: int) -> dict:
     return col
 
 
+def _basis_index(u: dict):
+    """a when the sparse vector u is exactly 1 * e_a, else None."""
+    if len(u) == 1:
+        (a, c), = u.items()
+        if _is_one(c._packed):
+            return a
+    return None
+
+
 def _unflat(flat: int, n: int, order: int) -> tuple[int, ...]:
     idx = []
     for _ in range(order):
@@ -298,7 +307,10 @@ class LinearMap:
     columns are never stored, so two maps are equal exactly when their
     `cols` are.  The tuple (i1, ..., ik) flattens to i1*n^(k-1) + ... + ik,
     leftmost factor most significant; Kronecker products and compositions
-    follow the same convention.
+    follow the same convention.  The constructor checks every index and
+    converts every entry with `MultiPoly.of`: an int becomes a constant, a
+    polynomial from another ring raises ValueError, and anything else
+    TypeError.
     """
 
     __slots__ = ("gens", "n", "in_order", "out_order", "cols")
@@ -311,7 +323,8 @@ class LinearMap:
         ncols, nrows = self.n ** self.in_order, self.n ** self.out_order
         canon = {}
         for c, col in cols.items():
-            col = {r: v for r, v in col.items() if v}
+            col = {r: p for r, v in col.items()
+                   if (p := MultiPoly.of(self.gens, v))}
             if not 0 <= c < ncols or any(not 0 <= r < nrows for r in col):
                 raise ValueError(
                     f"entry index out of range for orders ({self.in_order} -> "
@@ -521,7 +534,7 @@ class FrobeniusAlgebra:
     """A commutative Frobenius algebra presented by its product columns.
 
     `mul_cols` maps i*n + j to e_i e_j as a sparse {k: MultiPoly} column;
-    it is stored as `mul_map` as given, after one ring check per entry.
+    it is stored as `mul_map`, whose constructor checks every entry.
     `counit_vec` and the `symbols` values are given as dense coefficient
     lists and checked by the element constructor; the counit is kept as
     `counit_map` and the dense tuple `counit_vec`, the symbols as sparse
@@ -551,10 +564,6 @@ class FrobeniusAlgebra:
         self.counit_map = LinearMap(self.gens, n, 1, 0,
                                     {j: {0: c} for j, c in counit.vec.items()})
         self.mul_map = LinearMap(self.gens, n, 2, 1, mul_cols)
-        bad = next((c.gens for col in self.mul_map.cols.values()
-                    for c in col.values() if c.gens != self.gens), None)
-        if bad is not None:
-            raise ValueError(f"generator mismatch: {bad} vs {self.gens}")
 
         self._symbols = {
             name: AlgebraElement(self, coeffs).vec
@@ -603,12 +612,6 @@ class FrobeniusAlgebra:
     def basis_element(self, i: int) -> AlgebraElement:
         # Indexed like a sequence of the basis: negative i counts from the end.
         return self._element({range(self.rank)[i]: MultiPoly.one(self.gens)})
-
-    def element(self, coeffs) -> AlgebraElement:
-        return AlgebraElement(self, coeffs)
-
-    def scalar(self, value: int) -> MultiPoly:
-        return MultiPoly.const(self.gens, value)
 
     def mul_basis(self, i: int, j: int) -> AlgebraElement:
         return self._element(self.mul_map.cols.get(i * self.rank + j, {}))
@@ -691,9 +694,6 @@ class FrobeniusAlgebra:
         for u in elems[1:]:
             vec = _kron(vec, self._own(u).vec, self.rank)
         return self._tensor(len(elems), vec)
-
-    def tensor_zero(self, order: int) -> TensorElement:
-        return TensorElement(self, order, {})
 
     def _own(self, u, kind=AlgebraElement, order: int = 1):
         """u, checked to be a `kind` of this algebra and of this order."""
@@ -781,7 +781,8 @@ class FrobeniusAlgebra:
 
     def _times(self, name: str) -> dict:
         """The columns of multiplication by the basis symbol `name`, built
-        on first use."""
+        on first use; validation fills this cache for every symbol and reads
+        its products from it."""
         cols = self._symbol_times.get(name)
         if cols is None:
             cols = self._symbol_times[name] = self._mul_by_columns(
@@ -789,28 +790,26 @@ class FrobeniusAlgebra:
         return cols
 
     def _mul_by_columns(self, u: dict) -> dict:
-        """Column j is u * e_j, for u a sparse vector of this algebra."""
+        """Column j is u * e_j, for u a sparse vector of this algebra; a
+        basis element u reads its columns of mul."""
         n, mul = self.rank, self.mul_map.cols
+        a = _basis_index(u)
+        if a is not None:
+            return {j: mul.get(a * n + j, {}) for j in range(n)}
         return {j: _push(mul, [(i * n + j, c) for i, c in u.items()])
                 for j in range(n)}
 
     def _coeff_label_str(self, c: MultiPoly, label: str) -> str:
         body = str(c)
         if label == "1":
-            return body if len(c.terms) <= 1 else f"({body})"
+            return body if len(c._packed) <= 1 else f"({body})"
         if body == "1":
             return label
         if body == "-1":
             return f"-{label}"
-        if len(c.terms) > 1:
+        if len(c._packed) > 1:
             return f"({body})*{label}"
         return f"{body}*{label}"
-
-    def render_element(self, u: AlgebraElement) -> str:
-        return self._render(u.vec, 1)
-
-    def render_tensor(self, t: TensorElement) -> str:
-        return self._render(t.vec, t.order)
 
     def _render(self, vec: dict, order: int) -> str:
         """A sparse vector of A^(x)order: an element prints its highest
@@ -859,27 +858,20 @@ class FrobeniusAlgebra:
                         f"multiplication table is not commutative at ({i}, {j})"
                     )
 
-        def basis_index(u: dict):
-            """a when the sparse vector u is exactly 1 * e_a, else None."""
-            if len(u) == 1:
-                (a, c), = u.items()
-                if c == one:
-                    return a
-            return None
-
         def times(u: dict, k: int) -> dict:
             """u * e_k; a basis element u reads its column of mul."""
-            a = basis_index(u)
+            a = _basis_index(u)
             if a is not None:
                 return mul.get(a * n + k, {})
             return _push(mul, [(a * n + k, c) for a, c in u.items()])
 
-        products = {name: {} for name in self._symbols}
+        # The cache that `parse_element` reads, refilled from this mul_map.
+        self._symbol_times = {}
+        products = {name: self._times(name) for name in self._symbols}
         reached = [0]
         for i in reached:
-            for name, s in self._symbols.items():
-                products[name][i] = p = times(s, i)
-                k = basis_index(p)
+            for g_times in products.values():
+                k = _basis_index(g_times[i])
                 if k is not None and k not in reached:
                     reached.append(k)
         if len(reached) < n:
@@ -903,7 +895,7 @@ class FrobeniusAlgebra:
             raise ValueError(
                 "multiplication is not associative at ({}, {}, {})".format(*bad)
             )
-        indices = [basis_index(s) for s in self._symbols.values()]
+        indices = [_basis_index(s) for s in self._symbols.values()]
         self._generators = (self.mul_map, tuple(sorted(set(indices)))) \
             if len(reached) == n and None not in indices else None
 

@@ -156,8 +156,7 @@ def group_ring(orders, generators=()) -> GroupRingAlgebra:
 
 def hopf_delta(A: GroupRingAlgebra, u: AlgebraElement) -> TensorElement:
     """The diagonal comultiplication, linearly extending g -> g (x) g."""
-    n = A.rank
-    return A._tensor(2, {i * n + i: c for i, c in A._own(u).vec.items()})
+    return A._apply(A.diagonal_map, u)
 
 
 def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
@@ -176,7 +175,7 @@ def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
             "theta reproduces the diagonal comultiplication"
         )
     entries = [((g, g, g), 1) for g in range(A.rank)]
-    return ThetaTable.from_entries(A.rank, entries, gens=A.gens)
+    return ThetaTable(A.gens, A.rank, entries)
 
 
 def _generator_rows(A: FrobeniusAlgebra):

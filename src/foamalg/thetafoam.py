@@ -18,7 +18,10 @@ def _cyclic(triple):
 
 
 class ThetaTable:
-    """Sparse cyclically-symmetric table of ring values on index triples."""
+    """Sparse cyclically-symmetric table of ring values on index triples.
+
+    The constructor takes a mapping or (triple, value) pairs and closes
+    them under cyclic permutation."""
 
     __slots__ = ("gens", "rank", "entries")
 
@@ -50,11 +53,6 @@ class ThetaTable:
                 else:
                     canon[image] = value
         self.entries = canon
-
-    @classmethod
-    def from_entries(cls, rank: int, entries, gens=()) -> "ThetaTable":
-        """Close the given (triple, value) pairs under cyclic permutation."""
-        return cls(gens, rank, entries)
 
     @classmethod
     def zero(cls, rank: int, gens=()) -> "ThetaTable":
@@ -143,13 +141,11 @@ def lie_theta(n: int) -> ThetaTable:
             entries.append(((0, b, c), 1))
         elif minus:
             entries.append(((0, b, c), -1))
-    return ThetaTable.from_entries(n, entries, gens=())
+    return ThetaTable((), n, entries)
 
 
 def mv_theta() -> ThetaTable:
     """The rank-3 table over Z[a,b,c]: +1 on the cyclic orbit of (0, 1, 2),
     -1 on the orbit of (0, 2, 1), zero otherwise."""
     gens = ("a", "b", "c")
-    return ThetaTable.from_entries(
-        3, [((0, 1, 2), 1), ((0, 2, 1), -1)], gens=gens
-    )
+    return ThetaTable(gens, 3, [((0, 1, 2), 1), ((0, 2, 1), -1)])

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from foamalg.branchops import BranchContext, LinearMap
-from foamalg.coeffring import parse_poly
+from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.foamlang import (
     ArityError,
     Compose,
@@ -22,7 +22,7 @@ from foamalg.foamlang import (
     pretty,
     typecheck,
 )
-from foamalg.frobalg import mv_algebra, truncated_algebra
+from foamalg.frobalg import TensorElement, mv_algebra, truncated_algebra
 from foamalg.groupfoam import (
     check_bialgebra,
     derive_bialgebra_theta,
@@ -116,10 +116,11 @@ def test_criterion_04_mv_branch_cooperation_table(mv_ctx):
 
 
 def test_criterion_05_handle_scalars(mv_ctx):
-    assert mv_ctx.algebra.handle_scalar() == mv_ctx.algebra.scalar(3)
+    A = mv_ctx.algebra
+    assert A.handle_scalar() == MultiPoly.const(A.gens, 3)
     for n in (3, 5, 7, 9):
         A = truncated_algebra(n)
-        assert A.handle_scalar() == A.scalar(n)
+        assert A.handle_scalar() == MultiPoly.const(A.gens, n)
     _line("5 handle scalars (3 and N)")
 
 
@@ -163,7 +164,7 @@ def test_criterion_06b_pointwise_kernel_identity_plus_form(mv_ctx):
         ei = A.basis_element(i)
         for j in range(3):
             ej = A.basis_element(j)
-            lhs = A.tensor_zero(2)
+            lhs = TensorElement(A, 2, {})
             for (l1, l2), c in mv_ctx.cocomul(ej).coeffs.items():
                 w = mv_ctx.bracket(ei, A.basis_element(l1)).scale(c)
                 lhs = lhs + A.tensor(w, A.basis_element(l2))
@@ -180,7 +181,7 @@ def test_criterion_06c_pointwise_kernel_identity_computed_form(mv_ctx):
         ei = A.basis_element(i)
         for j in range(3):
             ej = A.basis_element(j)
-            lhs = A.tensor_zero(2)
+            lhs = TensorElement(A, 2, {})
             for (l1, l2), c in mv_ctx.cocomul(ej).coeffs.items():
                 w = mv_ctx.bracket(ei, A.basis_element(l1)).scale(c)
                 lhs = lhs + A.tensor(w, A.basis_element(l2))
@@ -291,7 +292,7 @@ def test_criterion_12_language_corpora():
 
     ctx = BranchContext(
         truncated_algebra(2),
-        ThetaTable.from_entries(2, [((0, 1, 1), 1)]),
+        ThetaTable((), 2, [((0, 1, 1), 1)]),
     )
     rng = random.Random(20240817)
     checked = 0

@@ -7,7 +7,8 @@ from foamalg import cli
 from foamalg.branchops import GENERATORS, BranchContext, LinearMap
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.foamlang import DEFINITIONS, compile_diagram, parse, typecheck
-from foamalg.frobalg import mv_algebra, truncated_algebra
+from foamalg.frobalg import AlgebraElement, TensorElement, mv_algebra, \
+    truncated_algebra
 from foamalg.groupfoam import GroupRingAlgebra
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
@@ -85,9 +86,9 @@ class TestBracket:
     def test_bilinearity(self, c1, c2, c3, c4):
         ctx = BranchContext(truncated_algebra(3), lie_theta(3))
         A = ctx.algebra
-        u = A.element([c1, c2, 0])
-        v = A.element([0, c3, c4])
-        w = A.element([c4, 0, c1])
+        u = AlgebraElement(A, [c1, c2, 0])
+        v = AlgebraElement(A, [0, c3, c4])
+        w = AlgebraElement(A, [c4, 0, c1])
         assert ctx.bracket(u + v, w) == ctx.bracket(u, w) + ctx.bracket(v, w)
         assert ctx.bracket(w, u + v) == ctx.bracket(w, u) + ctx.bracket(w, v)
 
@@ -132,7 +133,7 @@ class TestCocomul:
             for u in range(A.rank):
                 eu = A.basis_element(u)
                 lhs = ctx.cocomul(eu)
-                rhs = A.tensor_zero(2)
+                rhs = TensorElement(A, 2, {})
                 for i in range(A.rank):
                     w = ctx.bracket(A.basis_element(i), eu)
                     rhs = rhs + A.tensor(A.dual_basis[i], w)
@@ -155,7 +156,7 @@ class TestCocomul:
             ei = A.basis_element(i)
             for j in range(3):
                 ej = A.basis_element(j)
-                lhs = A.tensor_zero(2)
+                lhs = TensorElement(A, 2, {})
                 for (l1, l2), c in mv_ctx.cocomul(ej).coeffs.items():
                     w = mv_ctx.bracket(ei, A.basis_element(l1)).scale(c)
                     lhs = lhs + A.tensor(w, A.basis_element(l2))
@@ -188,7 +189,7 @@ class TestLinearMaps:
                 coeffs = [MultiPoly.zero(A.gens)] * 3
                 for (k,), c in image.coeffs.items():
                     coeffs[k] = c
-                assert A.element(coeffs) == expected
+                assert AlgebraElement(A, coeffs) == expected
 
     def test_mul_by_map(self, mv_ctx):
         A = mv_ctx.algebra
@@ -200,7 +201,7 @@ class TestLinearMaps:
             coeffs = [MultiPoly.zero(A.gens)] * 3
             for (k,), c in image.coeffs.items():
                 coeffs[k] = c
-            assert A.element(coeffs) == expected
+            assert AlgebraElement(A, coeffs) == expected
 
     def test_kron_against_direct(self, lie3_ctx):
         ident = lie3_ctx.linear_map("id")
@@ -291,8 +292,7 @@ class TestRingCoercion:
 
     def test_custom_theta_values(self):
         gens = ("a", "b", "c")
-        t = ThetaTable.from_entries(
-            3, [((0, 1, 2), parse_poly("a", gens))], gens=gens)
+        t = ThetaTable(gens, 3, [((0, 1, 2), parse_poly("a", gens))])
         ctx = BranchContext(mv_algebra(), t)
         A = ctx.algebra
         got = ctx.bracket(A.basis_element(1), A.basis_element(2))

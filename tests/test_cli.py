@@ -9,7 +9,7 @@ import pytest
 
 from foamalg import __version__, cli, foamlang, groupfoam, lawsuite
 from foamalg.cli import MAX_TRUNCATED_RANK, main
-from foamalg.coeffring import MAX_EXPONENT
+from foamalg.coeffring import MAX_EXPONENT, MultiPoly
 from foamalg.foamlang import MAX_MATRIX_CELLS
 from foamalg.frobalg import LinearMap
 
@@ -825,7 +825,7 @@ class TestConfig:
                                     "counit": ["1", "1"]}))
         algebra, _ = cli.build_algebra(str(path))
         assert len(inverse_calls) == 1
-        assert algebra.gram_det == algebra.scalar(-1)
+        assert algebra.gram_det == MultiPoly.const(algebra.gens, -1)
 
     @pytest.mark.parametrize("text", ["[1, 2]", "5", "null"])
     def test_config_must_be_an_object(self, capsys, tmp_path, text):

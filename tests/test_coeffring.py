@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from foamalg.coeffring import EXPONENT_LIMIT, MAX_EXPONENT, MultiPoly, \
     name_degrees, parse_expression, parse_poly
@@ -107,6 +107,18 @@ class TestRingAxioms:
     @given(polys, polys)
     def test_equality_is_term_map_equality(self, p, q):
         assert (p == q) == (p.terms == q.terms)
+
+    @given(polys | st.integers(-2, 2), polys | st.integers(-2, 2))
+    @example(MultiPoly.one(GENS), 1)
+    @example(MultiPoly.zero(GENS), 0)
+    @example(MultiPoly.const(GENS, -2), MultiPoly.const(GENS, -2))
+    def test_equal_values_hash_equal(self, p, q):
+        if p == q:
+            assert hash(p) == hash(q)
+
+    def test_a_constant_finds_its_int_key(self):
+        assert {1: "v"}.get(MultiPoly.one(())) == "v"
+        assert {MultiPoly.const(GENS, 3): "v"}.get(3) == "v"
 
 
 def naive(terms):

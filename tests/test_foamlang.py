@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from foamalg.branchops import BranchContext, LinearMap
+from foamalg.coeffring import MultiPoly
 from foamalg.foamlang import (
     DEFINITIONS,
     MAX_MATRIX_CELLS,
@@ -41,7 +42,7 @@ def small_ctx():
     # rank 2 keeps generated matrices tiny for the property tests
     return BranchContext(
         truncated_algebra(2),
-        ThetaTable.from_entries(2, [((0, 1, 1), 1)]),
+        ThetaTable((), 2, [((0, 1, 1), 1)]),
     )
 
 
@@ -277,7 +278,8 @@ class TestEvalClosed:
     def test_theta_diagram(self, mv_ctx):
         src = ("((unit;label(1)) * (unit;label(X)) * (unit;label(X^2))) ; "
                "(id * bmul) ; mul ; counit")
-        assert eval_closed(parse(src), mv_ctx) == mv_ctx.algebra.scalar(1)
+        assert eval_closed(parse(src), mv_ctx) == \
+            MultiPoly.const(mv_ctx.algebra.gens, 1)
 
     def test_eps_x_cubed(self, mv_ctx):
         src = "((unit;label(X)) * (unit;label(X^2))) ; mul ; counit"
@@ -286,7 +288,7 @@ class TestEvalClosed:
 
     def test_eps_unit(self, mv_ctx):
         assert eval_closed(parse("unit ; counit"), mv_ctx) == \
-            mv_ctx.algebra.scalar(0)
+            MultiPoly.const(mv_ctx.algebra.gens, 0)
 
     def test_open_expression_rejected(self, mv_ctx):
         with pytest.raises(ArityError, match="not closed"):

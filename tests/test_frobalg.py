@@ -433,8 +433,8 @@ class TestClosedFormDual:
         where counit(e_i * y_j), read off mv's own arithmetic, is not
         delta_ij."""
         n, one = mv.rank, mv_poly("1")
-        dual = [mv.dual_basis[j] + mv.element(
-            [mv_poly(extra.get(j, {}).get(k, "0")) for k in range(n)])
+        dual = [mv.dual_basis[j] + AlgebraElement(
+            mv, [mv_poly(extra.get(j, {}).get(k, "0")) for k in range(n)])
             for j in range(n)]
         i, j = next((i, j) for i in range(n) for j in range(n)
                     if mv.counit(mv.basis_element(i) * dual[j])
@@ -565,15 +565,16 @@ class TestStructuralInvariants:
         A = build()
         for u in range(A.rank):
             t = A.comul(A.basis_element(u))
+            zero = MultiPoly.zero(A.gens)
             left = {}
             right = {}
             for (i, j), coeff in t.coeffs.items():
                 for (p, q), c2 in A.comul(A.basis_element(i)).coeffs.items():
                     key = (p, q, j)
-                    left[key] = left.get(key, A.scalar(0)) + coeff * c2
+                    left[key] = left.get(key, zero) + coeff * c2
                 for (p, q), c2 in A.comul(A.basis_element(j)).coeffs.items():
                     key = (i, p, q)
-                    right[key] = right.get(key, A.scalar(0)) + coeff * c2
+                    right[key] = right.get(key, zero) + coeff * c2
             left = {k: v for k, v in left.items() if v}
             right = {k: v for k, v in right.items() if v}
             assert left == right
@@ -586,7 +587,7 @@ class TestStructuralInvariants:
             for v in range(A.rank):
                 ev = A.basis_element(v)
                 lhs = A.comul(A.mul(eu, ev))
-                rhs = A.tensor_zero(2)
+                rhs = TensorElement(A, 2, {})
                 for (i, j), coeff in A.comul(ev).coeffs.items():
                     w = A.mul(eu, A.basis_element(i))
                     rhs = rhs + A.tensor(w, A.basis_element(j)).scale(coeff)
@@ -648,10 +649,10 @@ class TestParsingRendering:
 
     def test_render_round_trip(self, mv):
         u = mv.parse_element("-X^2 + a*X + b")
-        assert mv.parse_element(mv.render_element(u)) == u
+        assert mv.parse_element(repr(u)) == u
 
     def test_render_zero(self, mv):
-        assert mv.render_element(mv.zero) == "0"
+        assert repr(mv.zero) == "0"
 
 
 
@@ -676,7 +677,7 @@ class TestInputChecks:
     def test_repeated_keys_add_up_and_cancel(self, mv):
         t = TensorElement(mv, 1, [((0,), 1), ((0,), -1)])
         assert not t
-        assert t == mv.tensor_zero(1)
+        assert t == TensorElement(mv, 1, {})
         assert TensorElement(mv, 1, [((2,), 1), ((2,), 2)]) == \
             TensorElement(mv, 1, {(2,): 3})
 
@@ -718,6 +719,8 @@ class TestExactInputs:
         "map-rank": lambda mv: LinearMap((), 2.5, 1, 1, {}),
         "map-in-order": lambda mv: LinearMap((), 2, 1.0, 1, {}),
         "map-out-order": lambda mv: LinearMap((), 2, 1, 1.0, {}),
+        "map-float-entry": lambda mv: LinearMap((), 2, 1, 1, {0: {0: 2.5}}),
+        "map-string-entry": lambda mv: LinearMap((), 2, 1, 1, {0: {0: "2"}}),
         "element-float": lambda mv: AlgebraElement(mv, [0.5, 0, 0]),
         "element-string": lambda mv: AlgebraElement(mv, ["2", 0, 0]),
         "modulus": lambda mv: algebra_from_modulus((), [0.5, 0, 1], [0, 1]),
@@ -743,6 +746,7 @@ class TestExactInputs:
                       lambda: AlgebraElement(mv, [z, 0, 0]),
                       lambda: TensorElement(mv, 1, {(0,): z}),
                       lambda: ThetaTable(gens, 3, {(0, 1, 2): z}),
+                      lambda: LinearMap(gens, 3, 1, 1, {0: {0: z}}),
                       lambda: algebra_from_modulus((), [0, 0, 1], [0, z])):
             with pytest.raises(ValueError, match="generator mismatch"):
                 build()
@@ -750,6 +754,12 @@ class TestExactInputs:
         for coeffs in ([z, 0], [0.5, 0]):
             with pytest.raises(ValueError, match="rank mismatch"):
                 AlgebraElement(mv, coeffs)
+
+    def test_int_map_entries_become_constants(self):
+        m = LinearMap((), 2, 1, 1, {0: {1: 2, 0: 0}, 1: {0: 3}})
+        assert m.cols == {0: {1: MultiPoly.const((), 2)},
+                          1: {0: MultiPoly.const((), 3)}}
+        assert m >> m == LinearMap.identity((), 2).scale(6)
 
 
 class TestFreedByReferenceCounting:
@@ -800,13 +810,11 @@ class TestRenderers:
     def test_element(self, mv):
         u = mv.parse_element("a*X^2 + b*X^2 - c*X + 3")
         assert repr(u) == "(a + b)*X^2 - c*X + 3"
-        assert mv.render_element(u) == repr(u)
 
     def test_tensor(self, mv):
         u = mv.parse_element("a*X^2 + b*X^2 - c*X + 3")
         t = mv.tensor(u, mv.parse_element("X"))
         assert repr(t) == "3*1⊗X - c*X⊗X + (a + b)*X^2⊗X"
-        assert mv.render_tensor(t) == repr(t)
 
 @functools.cache
 def parse_context(name):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from foamalg.coeffring import MultiPoly
-from foamalg.frobalg import algebra_from_modulus
+from foamalg.frobalg import AlgebraElement, algebra_from_modulus
 
 sympy = pytest.importorskip("sympy")
 
@@ -198,7 +198,8 @@ def test_element_arithmetic_is_arithmetic_mod_the_modulus(gens, data):
     k = data.draw(st.integers(0, 3))
 
     def make(coeffs):
-        return A.element([from_sympy(c, gens, symbols) for c in coeffs])
+        return AlgebraElement(
+            A, [from_sympy(c, gens, symbols) for c in coeffs])
 
     def poly(coeffs):
         """sum_d coeffs[d] X^d as a sympy Poly in X over the ring."""
