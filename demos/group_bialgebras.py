@@ -24,7 +24,7 @@ theta = derive_bialgebra_theta(A)
 print("derived theta: value 1 on", sorted(theta.entries))
 ctx = BranchContext(A, theta)
 print("branch co-operation on x:", ctx.cocomul(x))
-report = check_bialgebra(A, ctx)
+report = check_bialgebra(ctx)
 print("bialgebra checks:", "pass" if report.passed else "fail",
       f"({report.checked_cases} cases)")
 
@@ -35,7 +35,7 @@ for orders in ([2], [2, 2], [2, 2, 2], [3], [4], [2, 3]):
     name = " x ".join(f"Z/{o}" for o in orders)
     try:
         t = derive_bialgebra_theta(B)
-        rep = check_bialgebra(B, BranchContext(B, t))
+        rep = check_bialgebra(BranchContext(B, t))
         print(f"   {name:18s} -> theta derived, bialgebra "
               f"{'pass' if rep.passed else 'fail'}")
     except ValueError as exc:
@@ -47,6 +47,6 @@ from foamalg import ThetaTable
 
 A2 = group_ring([2])
 bad = ThetaTable(A2.gens, 2, [((0, 0, 0), 1)])
-rep = check_bialgebra(A2, BranchContext(A2, bad))
+rep = check_bialgebra(BranchContext(A2, bad))
 print("only theta(1,1,1)=1:", "pass" if rep.passed else "fail")
 print("counterexample:", rep.counterexample)

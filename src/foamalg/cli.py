@@ -147,7 +147,7 @@ def build_theta(spec: str, algebra: FrobeniusAlgebra, config_theta=None):
         except ValueError as exc:
             raise SpecError(str(exc)) from exc
     if spec == "zero":
-        return ThetaTable.zero(algebra.rank, gens=algebra.gens)
+        return ThetaTable(algebra.gens, algebra.rank, {})
     if spec == "config":
         entries = config_theta
         if entries is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from math import gcd, lcm
 
 from .branchops import BranchContext
 from .coeffring import MultiPoly
@@ -71,10 +70,6 @@ class FiniteAbelianGroup:
 
     def inverse(self, i: int) -> int:
         return self.index(-r for r in self.residues(i))
-
-    def element_order(self, i: int) -> int:
-        return lcm(*(o // gcd(r, o)
-                     for r, o in zip(self.residues(i), self.orders)))
 
     def has_exponent_two(self) -> bool:
         """True iff every non-identity element has order 2."""
@@ -196,12 +191,13 @@ def _generator_rows(A: FrobeniusAlgebra):
     return lambda c: c // n in rows
 
 
-def check_bialgebra(A: GroupRingAlgebra, ctx: BranchContext) -> LawReport:
-    """Verify the branch co-operation gives a bialgebra on the group ring:
-    the laws of `lawsuite.LAWS` that cocomul equals the diagonal `diag`;
-    then compatibility with mul on all basis pairs; then the left and the
-    right counit laws for the augmentation `aug`, on every basis element.
-    Each law is walked in turn, and the report adds up their cases.
+def check_bialgebra(ctx: BranchContext) -> LawReport:
+    """Verify the branch co-operation of `ctx` gives a bialgebra on its
+    group ring `ctx.algebra`, compiling over the context's memo: the laws
+    of `lawsuite.LAWS` that cocomul equals the diagonal `diag`; then
+    compatibility with mul on all basis pairs; then the left and the right
+    counit laws for the augmentation `aug`, on every basis element.  Each
+    law is walked in turn, and the report adds up their cases.
 
     Compatibility is read only on the rows of e_0 and of a generating set,
     against every basis element, where `_generator_rows` proves that this
@@ -209,8 +205,7 @@ def check_bialgebra(A: GroupRingAlgebra, ctx: BranchContext) -> LawReport:
     fails, every pair is walked again, so the report shows the first
     failing pair in flat order.  Without such a proof, every pair is
     walked."""
-    if ctx.algebra is not A:
-        raise ValueError("context was not built from the given algebra")
+    A = ctx.algebra
     generator_rows = _generator_rows(A)
     cases = 0
     for law in ("cocomul equals diagonal", "compatibility",

@@ -1,10 +1,13 @@
 """Exhaustive verification of the algebraic laws on basis tuples.
 
 Every law is one equation lhs == rhs in the table `LAWS`, each side a signed
-sum of diagrams in `foamlang`'s language.  `foamlang.side` compiles the
-sides to column sources over the context's memo, and one walk, `_unequal`,
-compares them one input column, that is one basis tuple, at a time in flat
-order, yielding each column where they differ; a law stops at the first.
+sum of diagrams in `foamlang`'s language.  Every check, `groupfoam`'s
+bialgebra check too, takes only the report's `BranchContext`, so the laws
+of a report share its one memo; neck cutting reads no theta and runs on
+that context as well.  `foamlang.side` compiles the sides to column
+sources over that memo, and one walk, `_unequal`, compares them one input
+column, that is one basis tuple, at a time in flat order, yielding each
+column where they differ; a law stops at the first.
 Only the columns where a side can be nonzero are read, and cases are
 counted as if every column had been.  Two laws also leave out columns that
 a proof, given in their docstrings, shows equal: Jacobi reads only the
@@ -36,8 +39,7 @@ from itertools import chain
 from .branchops import BranchContext
 from .coeffring import MultiPoly
 from .foamlang import side
-from .frobalg import FrobeniusAlgebra, _unflat
-from .thetafoam import ThetaTable
+from .frobalg import _unflat
 
 
 @dataclass
@@ -226,11 +228,11 @@ def check_theta_trace(ctx: BranchContext) -> LawReport:
     return _law_report("theta_trace", ctx)
 
 
-def check_delta_one_resolution(algebra: FrobeniusAlgebra) -> LawReport:
+def check_delta_one_resolution(ctx: BranchContext) -> LawReport:
     """Neck cutting: u = sum_i y_i * counit(e_i * u) on every basis
-    element."""
-    return _law_report("delta_one_resolution", BranchContext(
-        algebra, ThetaTable.zero(algebra.rank, gens=algebra.gens)))
+    element.  The law reads only delta_one, mul, counit and id, so its
+    verdict does not depend on the context's theta."""
+    return _law_report("delta_one_resolution", ctx)
 
 
 def _first_unequal_entry(A, pair, order: int):
@@ -317,7 +319,7 @@ def check_skein_identities(ctx: BranchContext) -> list[LawReport]:
 
 def _bialgebra(ctx: BranchContext) -> list[LawReport]:
     from . import groupfoam  # groupfoam imports this module
-    return [groupfoam.check_bialgebra(ctx.algebra, ctx)]
+    return [groupfoam.check_bialgebra(ctx)]
 
 
 # The suites, in their default order.  Each calls its checks through the
@@ -328,20 +330,24 @@ SUITES = {
     "two_sided": lambda ctx: [check_cocomul_two_sided(ctx)],
     "skein": lambda ctx: check_skein_identities(ctx),
     "theta_trace": lambda ctx: [check_theta_trace(ctx)],
-    "delta_one": lambda ctx: [check_delta_one_resolution(ctx.algebra)],
+    "delta_one": lambda ctx: [check_delta_one_resolution(ctx)],
     "bialgebra": _bialgebra,
 }
 SUITE_NAMES = tuple(SUITES)
 
 
 def select_suites(names=None, algebra=None) -> list[str]:
-    """The suites a selection names, in its order; None, "all" or a list
-    holding "all" selects every suite that applies to `algebra`.  Raises
-    ValueError on a selection of no name, since no law run must not read
-    as a pass, on an unknown name, and on bialgebra for an algebra that is
-    not a group ring; with no algebra, only the names are checked."""
+    """The suites a selection names, in its order; a single string is one
+    name, and None, "all" or a list holding "all" selects every suite that
+    applies to `algebra`.  Raises ValueError on a selection of no name,
+    since no law run must not read as a pass, on an unknown name, and on
+    bialgebra for an algebra that is not a group ring; with no algebra,
+    only the names are checked."""
     from .groupfoam import GroupRingAlgebra
-    names = ["all"] if names is None or names == "all" else names
+    if names is None:
+        names = ["all"]
+    elif isinstance(names, str):
+        names = [names]
     if not names:
         raise ValueError(f"--suite selection {list(names)} selects no law; "
                          f"available: {', '.join(SUITE_NAMES)}, all")

@@ -54,10 +54,6 @@ class ThetaTable:
                     canon[image] = value
         self.entries = canon
 
-    @classmethod
-    def zero(cls, rank: int, gens=()) -> "ThetaTable":
-        return cls(gens, rank, {})
-
     def value(self, i: int, j: int, k: int) -> MultiPoly:
         """theta on basis indices; out-of-range arguments give zero."""
         v = self.entries.get((i, j, k))
@@ -96,17 +92,6 @@ class ThetaTable:
             gens, self.rank,
             {t: v.embed(gens) for t, v in self.entries.items()},
         )
-
-    def is_cyclic(self) -> bool:
-        """Exhaustive check of cyclic symmetry over all rank^3 triples."""
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    v = self.value(i, j, k)
-                    if v != self.value(j, k, i) or v != self.value(k, i, j):
-                        return False
-        return True
 
     def __eq__(self, other):
         if not isinstance(other, ThetaTable):

@@ -781,7 +781,7 @@ class TestFreedByReferenceCounting:
         A = build()
         A.dual_basis, A.delta_one
         A.parse_element(text)
-        ctx = BranchContext(A, ThetaTable.zero(A.rank, A.gens))
+        ctx = BranchContext(A, ThetaTable(A.gens, A.rank, {}))
         run_suite(ctx)
         compile_diagram(parse("(id * comul) ; (bmul * id)"), ctx)
         compile_diagram(parse(f"label({text}) ; comul"), ctx)

@@ -1,4 +1,5 @@
 import itertools
+from math import gcd, lcm
 
 import pytest
 
@@ -15,6 +16,11 @@ from foamalg.groupfoam import (
 from foamalg.thetafoam import ThetaTable
 
 
+def element_order(g: FiniteAbelianGroup, i: int) -> int:
+    """The order of element i: the lcm of its residues' orders."""
+    return lcm(*(o // gcd(r, o) for r, o in zip(g.residues(i), g.orders)))
+
+
 class TestGroup:
     def test_indexing_round_trip(self):
         g = FiniteAbelianGroup([2, 3])
@@ -28,7 +34,7 @@ class TestGroup:
 
     def test_element_orders(self):
         g = FiniteAbelianGroup([2, 3])
-        orders = sorted(g.element_order(i) for i in range(g.size))
+        orders = sorted(element_order(g, i) for i in range(g.size))
         assert orders == [1, 2, 3, 3, 6, 6]
 
     def test_add_is_residue_wise(self):
@@ -110,7 +116,7 @@ class TestGroupRing:
         assert scaled == x.scale(A.parse_element("q").coeffs[0])
         theta = derive_bialgebra_theta(A)
         assert theta.gens == ("q",)
-        report = check_bialgebra(A, BranchContext(A, theta))
+        report = check_bialgebra(BranchContext(A, theta))
         assert report.passed
 
 
@@ -169,7 +175,7 @@ class TestCheckBialgebra:
     def test_exponent_two_passes(self, orders):
         A = group_ring(orders)
         ctx = BranchContext(A, derive_bialgebra_theta(A))
-        report = check_bialgebra(A, ctx)
+        report = check_bialgebra(ctx)
         assert report.passed
         n = A.rank
         assert report.checked_cases == n + n * n + 2 * n
@@ -185,14 +191,7 @@ class TestCheckBialgebra:
         A = group_ring([2])
         t = ThetaTable(A.gens, 2, [((0, 0, 0), 1)])
         ctx = BranchContext(A, t)
-        report = check_bialgebra(A, ctx)
+        report = check_bialgebra(ctx)
         assert not report.passed
         assert report.counterexample["inputs"] == ["x"]
         assert report.counterexample["sublaw"] == "cocomul equals diagonal"
-
-    def test_context_must_match(self):
-        A = group_ring([2])
-        B = group_ring([2])
-        ctx = BranchContext(B, derive_bialgebra_theta(B))
-        with pytest.raises(ValueError, match="not built from"):
-            check_bialgebra(A, ctx)

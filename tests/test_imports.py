@@ -32,6 +32,12 @@ def test_branchops_imports_none_of_its_users():
     assert relative_imports("branchops") & users == set()
 
 
+def test_lawsuite_builds_no_theta_table():
+    # Every law runs on the report's context, so the law suite needs no
+    # theta table of its own.
+    assert "thetafoam" not in relative_imports("lawsuite")
+
+
 def unused_imports(name: str) -> list[str]:
     """The names that a module-level import of module `name` binds and that
     the module neither reads nor lists in `__all__`."""

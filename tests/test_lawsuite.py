@@ -72,7 +72,7 @@ class TestJacobi:
 
     def test_zero_theta_trivially(self):
         A = truncated_algebra(3)
-        report = check_jacobi(BranchContext(A, ThetaTable.zero(3)))
+        report = check_jacobi(BranchContext(A, ThetaTable((), 3, {})))
         assert report.passed
 
     def test_shared_columns_live_only_with_the_side(self):
@@ -161,24 +161,33 @@ class TestThetaTrace:
 
     def test_zero_theta(self):
         report = check_theta_trace(
-            BranchContext(truncated_algebra(3), ThetaTable.zero(3)))
+            BranchContext(truncated_algebra(3), ThetaTable((), 3, {})))
         assert report.passed
 
 
 class TestDeltaOneResolution:
     def test_mv(self, mv_ctx):
-        report = check_delta_one_resolution(mv_ctx.algebra)
+        report = check_delta_one_resolution(mv_ctx)
         assert report.passed and report.checked_cases == 3
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_truncated(self, n):
-        assert check_delta_one_resolution(truncated_algebra(n)).passed
+        ctx = BranchContext(truncated_algebra(n), ThetaTable((), n, {}))
+        assert check_delta_one_resolution(ctx).passed
 
     def test_rank_one(self):
         from foamalg.coeffring import MultiPoly
         from foamalg.frobalg import FrobeniusAlgebra
         A = FrobeniusAlgebra((), ["1"], {0: {0: MultiPoly.one(())}}, [1])
-        assert check_delta_one_resolution(A).passed
+        ctx = BranchContext(A, ThetaTable((), 1, {}))
+        assert check_delta_one_resolution(ctx).passed
+
+    def test_compiles_over_the_reports_context(self):
+        # Neck cutting reads no theta, and runs on the report's own
+        # context, so its lhs is compiled into that context's memo.
+        ctx = BranchContext(mv_algebra(), mv_theta())
+        run_suite(ctx, ["delta_one"])
+        assert "delta_one * id ; id * (mul ; counit)" in ctx.memo
 
 
 class TestSuite:
@@ -198,6 +207,12 @@ class TestSuite:
     def test_selection(self, mv_ctx):
         reports = run_suite(mv_ctx, ["jacobi", "antisym"])
         assert [r.law for r in reports] == ["jacobi", "antisymmetry"]
+
+    def test_a_single_string_is_one_name(self, mv_ctx):
+        assert select_suites("jacobi") == ["jacobi"]
+        assert [r.law for r in run_suite(mv_ctx, "jacobi")] == ["jacobi"]
+        with pytest.raises(ValueError, match="unknown suite 'jac'"):
+            run_suite(mv_ctx, "jac")
 
     def test_unknown_name(self, mv_ctx):
         with pytest.raises(ValueError, match="unknown suite"):
