@@ -40,8 +40,10 @@ class BranchContext:
 
     Immutable; the bracket and theta maps are built on first use.
     `memo` holds the diagrams compiled over the context (`foamlang.factors`),
-    keyed by source text; it holds maps and column sources only, nothing
-    that refers back to the context.
+    keyed by source text, and the antisymmetry verdict of a report on it
+    (`lawsuite.check_antisymmetry`), a bool under a tuple key; it holds
+    maps, column sources and that bool only, nothing that refers back to
+    the context.
     """
 
     def __init__(self, algebra: FrobeniusAlgebra, theta: ThetaTable):

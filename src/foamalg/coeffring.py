@@ -94,6 +94,21 @@ def _is_one(terms: dict) -> bool:
     return len(terms) == 1 and terms.get(0) == 1
 
 
+def _power(base, k: int, unit):
+    """base ** k by square-and-multiply, from `unit`, the one power loop of
+    polynomials and algebra elements; the last square is never made."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = unit
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class MultiPoly:
     """Sparse multivariate polynomial over Z in named generators.
 
@@ -272,16 +287,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.one(self.gens)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.one(self.gens))
 
     # -- comparisons and helpers -------------------------------------------
 

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from .coeffring import MultiPoly, _fields, _is_one, _mul_into, parse_expression
+from .coeffring import MultiPoly, _fields, _is_one, _mul_into, _power, \
+    parse_expression
 
 
 class DegenerateFormError(ValueError):
@@ -119,16 +120,7 @@ class AlgebraElement(_Vec):
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result, base = self.algebra.unit, self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, self.algebra.unit)
 
 
 class TensorElement(_Vec):
@@ -574,7 +566,6 @@ class FrobeniusAlgebra:
                 raise ValueError(
                     f"basis symbol {name!r} collides with a ring generator"
                 )
-        self._symbol_times: dict = {}
         self._generators = None  # (the validated mul_map, generator indices)
 
         if validate:
@@ -743,9 +734,9 @@ class FrobeniusAlgebra:
         basis symbols.  Each product term of `parse_expression` packs its
         ring generators into one monomial, and reaches its symbol powers by
         pushing the unit column through the columns of multiplication by a
-        symbol once per factor, the first symbol's powers kept for the later
-        terms; one `_push` then sums the terms' columns with their
-        coefficients.
+        symbol (`_mul_by_columns`, made once per symbol and call) once per
+        factor, the first symbol's powers kept for the later terms; one
+        `_push` then sums the terms' columns with their coefficients.
         """
         gens, symbols = self.gens, self._symbols
 
@@ -759,7 +750,7 @@ class FrobeniusAlgebra:
 
         shifts = dict(_fields(gens))
         one = MultiPoly.one(gens)
-        columns, weights, powers = {}, [], {}
+        columns, weights, powers, times = {}, [], {}, {}
         for t, (coeff, degrees) in enumerate(
                 parse_expression(src, check_name=check_name)):
             if not coeff:
@@ -771,33 +762,29 @@ class FrobeniusAlgebra:
                     continue
                 made = [col] if col is not None else powers.setdefault(
                     name, [{0: one}])
-                times = self._times(name)
+                if name not in times:
+                    times[name] = self._mul_by_columns(symbols[name])
                 while len(made) <= k:
-                    made.append(_push(times, made[-1].items()))
+                    made.append(_push(times[name], made[-1].items()))
                 col = made[k]
             columns[t] = {0: one} if col is None else col
             weights.append((t, MultiPoly._canonical(gens, {key: coeff})))
         return self._element(_push(columns, weights))
 
-    def _times(self, name: str) -> dict:
-        """The columns of multiplication by the basis symbol `name`, built
-        on first use; validation fills this cache for every symbol and reads
-        its products from it."""
-        cols = self._symbol_times.get(name)
-        if cols is None:
-            cols = self._symbol_times[name] = self._mul_by_columns(
-                self._symbols[name])
-        return cols
-
-    def _mul_by_columns(self, u: dict) -> dict:
-        """Column j is u * e_j, for u a sparse vector of this algebra; a
-        basis element u reads its columns of mul."""
+    def _product_column(self, u: dict, k: int) -> dict:
+        """u * e_k, for u a sparse vector of this algebra: the one product
+        routine of construction and parsing.  A basis element u reads its
+        column of mul."""
         n, mul = self.rank, self.mul_map.cols
         a = _basis_index(u)
         if a is not None:
-            return {j: mul.get(a * n + j, {}) for j in range(n)}
-        return {j: _push(mul, [(i * n + j, c) for i, c in u.items()])
-                for j in range(n)}
+            return mul.get(a * n + k, {})
+        return _push(mul, [(i * n + k, c) for i, c in u.items()])
+
+    def _mul_by_columns(self, u: dict) -> dict:
+        """The columns of multiplication by u: column j is
+        `_product_column(u, j)`."""
+        return {j: self._product_column(u, j) for j in range(self.rank)}
 
     def _coeff_label_str(self, c: MultiPoly, label: str) -> str:
         body = str(c)
@@ -812,8 +799,11 @@ class FrobeniusAlgebra:
         return f"{body}*{label}"
 
     def _render(self, vec: dict, order: int) -> str:
-        """A sparse vector of A^(x)order: an element prints its highest
-        basis index first, a tensor its index tuples in increasing order."""
+        """A sparse vector of A^(x)order: a scalar (order 0) prints as the
+        polynomial it is, an element its highest basis index first, a tensor
+        its index tuples in increasing order."""
+        if order == 0:
+            return str(vec.get(0, MultiPoly.zero(self.gens)))
         n, labels = self.rank, self.basis_labels
         parts = [
             self._coeff_label_str(
@@ -858,16 +848,8 @@ class FrobeniusAlgebra:
                         f"multiplication table is not commutative at ({i}, {j})"
                     )
 
-        def times(u: dict, k: int) -> dict:
-            """u * e_k; a basis element u reads its column of mul."""
-            a = _basis_index(u)
-            if a is not None:
-                return mul.get(a * n + k, {})
-            return _push(mul, [(a * n + k, c) for a, c in u.items()])
-
-        # The cache that `parse_element` reads, refilled from this mul_map.
-        self._symbol_times = {}
-        products = {name: self._times(name) for name in self._symbols}
+        products = {name: self._mul_by_columns(u)
+                    for name, u in self._symbols.items()}
         reached = [0]
         for i in reached:
             for g_times in products.values():
@@ -875,22 +857,16 @@ class FrobeniusAlgebra:
                 if k is not None and k not in reached:
                     reached.append(k)
         if len(reached) < n:
-            products = {
-                j: [mul.get(j * n + i, {}) for i in range(n)] for j in range(n)
-            }
+            products = {j: self._mul_by_columns({j: one}) for j in range(n)}
         # products[g][i] = g e_i.  With commutativity, (e_i g) e_k ==
-        # e_i (g e_k) reads P[i][k] == P[k][i] for P[i][k] = (g e_i) e_k.
-        # The first failing triple in (i, g, k) order is reported, so once
-        # one is found the later generators scan only the rows before it.
-        bad = None
-        for name, g_times in sorted(products.items()):
-            rows = n if bad is None else bad[0]
-            for i in range(rows):
-                k = next((k for k in range(i + 1, n)
-                          if times(g_times[i], k) != times(g_times[k], i)), None)
-                if k is not None:
-                    bad = (i, name, k)
-                    break
+        # e_i (g e_k) reads P[i][k] == P[k][i] for P[i][k] = (g e_i) e_k,
+        # each made by `_product_column` for i < k only: no diagonal entry
+        # and no whole row is made.  The smallest failing triple in
+        # (i, g, k) order is reported.
+        bad = min(((i, g, k) for g, g_times in products.items()
+                   for i in range(n) for k in range(i + 1, n)
+                   if self._product_column(g_times[i], k)
+                   != self._product_column(g_times[k], i)), default=None)
         if bad is not None:
             raise ValueError(
                 "multiplication is not associative at ({}, {}, {})".format(*bad)

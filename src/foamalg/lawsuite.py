@@ -117,14 +117,6 @@ def _labels(algebra, *indices):
     return [algebra.basis_labels[i] for i in indices]
 
 
-def _render(A, col: dict, order: int) -> str:
-    """A sparse column of a map into A^(x)order, printed as the scalar, the
-    element or the tensor it is."""
-    if order == 0:
-        return str(col.get(0, MultiPoly.zero(A.gens)))
-    return A._render(col, order)
-
-
 _HEAD = 16  # input columns walked before any support is computed
 
 
@@ -174,8 +166,8 @@ def _compare(A, pair, in_order: int, keep=None):
     out = lhs.outputs if lhs.outputs is not None else rhs.outputs
     return c + 1, {
         "inputs": _labels(A, *_unflat(c, A.rank, in_order)),
-        "lhs": _render(A, a, out),
-        "rhs": _render(A, b, out),
+        "lhs": A._render(a, out),
+        "rhs": A._render(b, out),
     }
 
 
@@ -187,9 +179,17 @@ def _law_report(law: str, ctx: BranchContext, keep=None) -> LawReport:
                      counterexample=cx)
 
 
+# The key of antisymmetry's verdict in a context's memo: a tuple, which no
+# diagram source, a string, can be.
+_ANTISYMMETRY = ("verdict", "antisymmetry")
+
+
 def check_antisymmetry(ctx: BranchContext) -> LawReport:
-    """bracket(x, y) == -bracket(y, x), on all basis pairs."""
-    return _law_report("antisymmetry", ctx)
+    """bracket(x, y) == -bracket(y, x), on all basis pairs.  The verdict is
+    kept in the context's memo, for `check_jacobi`."""
+    report = _law_report("antisymmetry", ctx)
+    ctx.memo[_ANTISYMMETRY] = report.passed
+    return report
 
 
 def check_jacobi(ctx: BranchContext) -> LawReport:
@@ -206,11 +206,16 @@ def check_jacobi(ctx: BranchContext) -> LawReport:
       Its sorted order has the smallest flat index, so the first failing
       flat column c is a sorted one: a failure reports c + 1 cases and the
       same counterexample, and a pass n^3 cases.
-    When antisymmetry fails, every column is walked.
+    When antisymmetry fails, every column is walked.  Its verdict is read
+    from the memo when a report on the same context has walked it, and
+    walked here otherwise.
     """
     n = ctx.algebra.rank
     nn = n * n
-    if next(_unequal(sides(ctx, "antisymmetry"), nn), None) is not None:
+    holds = ctx.memo.get(_ANTISYMMETRY)
+    if holds is None:
+        holds = next(_unequal(sides(ctx, "antisymmetry"), nn), None) is None
+    if not holds:
         return _law_report("jacobi", ctx)
     return _law_report("jacobi", ctx,
                        lambda c: c // nn < c // n % n < c % n)

@@ -21,7 +21,8 @@ class ThetaTable:
     """Sparse cyclically-symmetric table of ring values on index triples.
 
     The constructor takes a mapping or (triple, value) pairs and closes
-    them under cyclic permutation."""
+    them under cyclic permutation.  A zero entry counts: a value given
+    elsewhere on its orbit is a conflict.  Only nonzero values are stored."""
 
     __slots__ = ("gens", "rank", "entries")
 
@@ -41,18 +42,13 @@ class ThetaTable:
                     f"index out of range in {triple} for rank {self.rank}"
                 )
             value = MultiPoly.of(self.gens, value)
-            if not value:
-                continue
             for image in _cyclic(triple):
-                if image in canon:
-                    if canon[image] != value:
-                        raise ValueError(
-                            f"cyclic symmetry conflict: {image} would receive "
-                            f"both {canon[image]} and {value}"
-                        )
-                else:
-                    canon[image] = value
-        self.entries = canon
+                if canon.setdefault(image, value) != value:
+                    raise ValueError(
+                        f"cyclic symmetry conflict: {image} would receive "
+                        f"both {canon[image]} and {value}"
+                    )
+        self.entries = {t: v for t, v in canon.items() if v}
 
     def value(self, i: int, j: int, k: int) -> MultiPoly:
         """theta on basis indices; out-of-range arguments give zero."""

@@ -546,8 +546,9 @@ class TestReport:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_each_law_is_walked_once(self, capsys, monkeypatch):
-        """A report builds the sides of each (law, sign, D) once, apart
-        from antisymmetry, which Jacobi walks again on its context."""
+        """A report builds the sides of each (law, sign, D) once: Jacobi
+        reads the antisymmetry verdict the antisym suite left in the
+        context's memo."""
         built = []
         for module in (lawsuite, groupfoam):
             def counting(ctx, law, sign=1, D="", sides=module.sides):
@@ -558,8 +559,8 @@ class TestReport:
                          "--theta", "lie")
         assert code == 1
         twice = {key for key in built if built.count(key) > 1}
-        assert twice == {("antisymmetry", 1, "")}
-        assert built.count(("antisymmetry", 1, "")) == 2
+        assert twice == set()
+        assert built.count(("antisymmetry", 1, "")) == 1
         assert ("skein_identity_1", -1, "bcomul") in built
 
     def test_deterministic(self, capsys):
@@ -713,6 +714,17 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert err == "error: bad theta entries: index out of range in " \
             "(0, 1, 3) for rank 3\n"
+
+    def test_theta_zero_entry_conflicting_with_its_orbit(self, capsys,
+                                                         tmp_path):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"entries": [[0, 1, 2, 5], [1, 2, 0, 0]]}))
+        code, out, err = run(capsys, "laws", "--algebra", "mv",
+                             "--theta", str(theta), "--suite", "antisym")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad theta entries: cyclic symmetry "
+                              "conflict")
+        assert err.count("\n") == 1
 
     def test_missing_field(self, capsys, tmp_path):
         config = tmp_path / "bad.json"

@@ -60,6 +60,12 @@ class TestArithmetic:
         assert P("a + b") ** 2 == P("a^2 + 2*a*b + b^2")
         assert P("a") ** 0 == MultiPoly.one(GENS)
 
+    @pytest.mark.parametrize("k", [-1, 1.5])
+    def test_pow_refuses_other_exponents(self, k):
+        with pytest.raises(ValueError,
+                           match="^exponent must be a non-negative integer$"):
+            P("a + b") ** k
+
     def test_int_coercion(self):
         assert P("a") + 1 == P("a + 1")
         assert 2 * P("a") == P("2*a")

@@ -227,6 +227,27 @@ class TestLightsTest:
             assert (table_product(table, table_product(table, e[i], s), e[k])
                     != table_product(table, e[i], table_product(table, s, e[k])))
 
+    def test_two_failing_symbols_report_the_smallest_triple(self):
+        """a = x fails only in row 2 and b = z only in row 1: the smaller
+        row's triple is reported, though a sorts first."""
+        e = [[int(a == b) for a in range(4)] for b in range(4)]
+        table = [[e[0], e[1], e[2], e[3]],
+                 [e[1], e[1], e[2], e[2]],
+                 [e[2], e[2], [0] * 4, e[1]],
+                 [e[3], e[2], e[1], e[0]]]
+        symbols = {"a": e[1], "b": e[3]}
+        failing = {
+            (i, g, k) for g, s in symbols.items()
+            for i in range(4) for k in range(i + 1, 4)
+            if table_product(table, table_product(table, e[i], s), e[k])
+            != table_product(table, e[i], table_product(table, s, e[k]))}
+        assert failing == {(2, "a", 3), (1, "b", 2)}
+        with pytest.raises(ValueError,
+                           match=r"^multiplication is not associative at "
+                                 r"\(1, b, 2\)$"):
+            FrobeniusAlgebra((), ["1", "x", "y", "z"], table_cols(table),
+                             [0, 0, 0, 1], symbols=symbols)
+
 
 class TestGeneratorIndices:
     """The generating set Light's test used is kept only where it proves
@@ -321,6 +342,12 @@ class TestMultiplication:
         for _ in range(k):
             want = want * u
         assert u ** k == want
+
+    @pytest.mark.parametrize("k", [-1, 1.5])
+    def test_pow_refuses_other_exponents(self, mv, k):
+        with pytest.raises(ValueError,
+                           match="^exponent must be a non-negative integer$"):
+            mv.parse_element("X + a") ** k
 
 
 class TestCounit:

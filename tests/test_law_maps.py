@@ -628,6 +628,22 @@ def test_failing_antisymmetry_walks_every_column(monkeypatch):
     assert any(not i < j < k for i, j, k in (_unflat(c, n, 3) for c in read))
 
 
+@pytest.mark.parametrize("entries, antisymmetric", [
+    ([((0, 1, 2), 1), ((0, 2, 1), -1)], True),
+    ([((0, 0, 1), 1)], False),
+])
+def test_jacobi_reads_the_antisymmetry_verdict_of_its_context(
+        monkeypatch, entries, antisymmetric):
+    """After an antisymmetry report on the same context, Jacobi walks no
+    antisymmetry column, and still reports what the full walk does."""
+    n = 3
+    ctx = BranchContext(truncated_algebra(n), ThetaTable((), n, entries))
+    assert check_antisymmetry(ctx).passed == antisymmetric
+    read = _read_columns(monkeypatch, lawsuite, "antisymmetry")
+    assert check_jacobi(ctx).to_dict() == oracle_jacobi(ctx).to_dict()
+    assert read == []
+
+
 def _random_theta(rank, seed):
     rng = random.Random(seed)
     return ThetaTable((), rank, [

@@ -33,6 +33,20 @@ class TestFromTable:
         with pytest.raises(ValueError, match="cyclic symmetry conflict"):
             ThetaTable((), 3, [((0, 1, 2), 1), ((1, 2, 0), -1)])
 
+    @pytest.mark.parametrize("entries", [
+        [((0, 1, 2), 5), ((1, 2, 0), 0)],
+        [((1, 2, 0), 0), ((0, 1, 2), 5)],
+    ])
+    def test_zero_entry_conflicts_with_its_orbit(self, entries):
+        # An explicit zero counts: it is not dropped before the orbit closes.
+        with pytest.raises(ValueError, match="cyclic symmetry conflict"):
+            ThetaTable((), 3, entries)
+
+    def test_zero_entries_are_not_stored(self):
+        t = ThetaTable((), 3, [((0, 1, 2), 0), ((1, 2, 0), 0),
+                               ((0, 2, 1), 1)])
+        assert set(t.entries) == {(0, 2, 1), (2, 1, 0), (1, 0, 2)}
+
     def test_empty(self):
         t = ThetaTable((), 4, [])
         assert all(
