@@ -22,6 +22,7 @@ from .branchops import BranchContext, LinearMap
 from .lawsuite import (
     LawReport,
     check_antisymmetry,
+    check_bialgebra,
     check_cocomul_two_sided,
     check_delta_one_resolution,
     check_jacobi,
@@ -33,7 +34,6 @@ from .lawsuite import (
 from .groupfoam import (
     FiniteAbelianGroup,
     GroupRingAlgebra,
-    check_bialgebra,
     derive_bialgebra_theta,
     group_ring,
     hopf_delta,

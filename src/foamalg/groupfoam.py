@@ -3,8 +3,9 @@
 The Frobenius form picks out the identity element; the dual basis of a group
 element is its inverse, so delta_one is sum_g g (x) g^{-1}.  The diagonal
 comultiplication g -> g (x) g can be produced by a cyclically symmetric theta
-table exactly when every non-identity element has order 2; the derivation
-and the resulting bialgebra checks live here.
+table exactly when every non-identity element has order 2; that derivation
+lives here.  The bialgebra check walks its laws in `lawsuite` and is
+re-exported here as `check_bialgebra`.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import operator
 from functools import cached_property
 
-from .branchops import BranchContext
 from .coeffring import MultiPoly
 from .frobalg import AlgebraElement, FrobeniusAlgebra, LinearMap, \
     TensorElement
-from .lawsuite import LAWS, LawReport, _compare, sides
+from .lawsuite import check_bialgebra
 from .thetafoam import ThetaTable
+
+__all__ = ["FiniteAbelianGroup", "GroupRingAlgebra", "group_ring",
+           "hopf_delta", "derive_bialgebra_theta", "check_bialgebra"]
 
 _GENERATOR_NAMES = ("x", "y", "z", "w", "v", "u")
 
@@ -171,53 +174,3 @@ def derive_bialgebra_theta(A: GroupRingAlgebra) -> ThetaTable:
         )
     entries = [((g, g, g), 1) for g in range(A.rank)]
     return ThetaTable(A.gens, A.rank, entries)
-
-
-def _generator_rows(A: FrobeniusAlgebra):
-    """The filter of the columns x * n + y, x and y basis indices, with x =
-    0 or x in the generating set S that construction proved the current
-    product associative with (`generator_indices`); None without such an S.
-
-    On these rows compatibility, D(xy) = D(x)D(y) for a linear map D,
-    proves itself on all n^2 pairs.  T = {x : D(xy) = D(x)D(y) for all y}
-    is a submodule, since both sides are linear in x.  For x, x' in T,
-    associativity gives D((xx')y) = D(x)D(x'y) = D(x)D(x')D(y) =
-    D(xx')D(y), so T is closed under products.  So T, holding 1 and S, is
-    A."""
-    gens = A.generator_indices()
-    if gens is None:
-        return None
-    n, rows = A.rank, {0, *gens}
-    return lambda c: c // n in rows
-
-
-def check_bialgebra(ctx: BranchContext) -> LawReport:
-    """Verify the branch co-operation of `ctx` gives a bialgebra on its
-    group ring `ctx.algebra`, compiling over the context's memo: the laws
-    of `lawsuite.LAWS` that cocomul equals the diagonal `diag`; then
-    compatibility with mul on all basis pairs; then the left and the right
-    counit laws for the augmentation `aug`, on every basis element.  Each
-    law is walked in turn, and the report adds up their cases.
-
-    Compatibility is read only on the rows of e_0 and of a generating set,
-    against every basis element, where `_generator_rows` proves that this
-    decides every pair; a pass reports n^2 cases.  If one of these rows
-    fails, every pair is walked again, so the report shows the first
-    failing pair in flat order.  Without such a proof, every pair is
-    walked."""
-    A = ctx.algebra
-    generator_rows = _generator_rows(A)
-    cases = 0
-    for law in ("cocomul equals diagonal", "compatibility",
-                "counit law (left)", "counit law (right)"):
-        pair = sides(ctx, law)
-        keep = generator_rows if law == "compatibility" else None
-        checked, cx = _compare(A, pair, LAWS[law][0], keep)
-        if cx is not None and keep is not None:
-            checked, cx = _compare(A, pair, LAWS[law][0])
-        cases += checked
-        if cx is not None:
-            cx = {"inputs": cx["inputs"], "sublaw": law, **cx}
-            return LawReport(law="bialgebra", passed=False,
-                             checked_cases=cases, counterexample=cx)
-    return LawReport(law="bialgebra", passed=True, checked_cases=cases)

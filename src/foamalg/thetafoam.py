@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 
 from .coeffring import MultiPoly
+from .frobalg import LinearMap
 
 
 def _cyclic(triple):
@@ -56,28 +57,18 @@ class ThetaTable:
         return v if v is not None else MultiPoly.zero(self.gens)
 
     def eval(self, u, v, w) -> MultiPoly:
-        """Trilinear extension of the table to algebra elements.
+        """Trilinear extension of the table to elements of one algebra.
 
-        The result lives in the elements' coefficient ring; table values are
-        re-read there by generator name.
+        The table is read in the elements' coefficient ring, by generator
+        name, as a 3 -> 0 map, and applied as the algebra applies its own
+        maps; elements of different algebras raise ValueError.
         """
         if not (len(u.coeffs) == len(v.coeffs) == len(w.coeffs) == self.rank):
             raise ValueError("rank mismatch between theta table and elements")
-        target = u.algebra.gens
-        acc = MultiPoly.zero(target)
-        for i, cu in enumerate(u.coeffs):
-            if not cu:
-                continue
-            for j, cv in enumerate(v.coeffs):
-                if not cv:
-                    continue
-                for k, cw in enumerate(w.coeffs):
-                    if not cw:
-                        continue
-                    t = self.entries.get((i, j, k))
-                    if t is not None:
-                        acc = acc + cu * cv * cw * t.embed(target)
-        return acc
+        A, n = u.algebra, self.rank
+        cols = {(i * n + j) * n + k: {0: t.embed(A.gens)}
+                for (i, j, k), t in self.entries.items()}
+        return A._apply(LinearMap._canonical(A.gens, n, 3, 0, cols), u, v, w)
 
     def embed(self, gens) -> "ThetaTable":
         """Reinterpret all values in another coefficient ring (by name)."""

@@ -1,6 +1,6 @@
-"""The imports of the package: `branchops` is below the diagram language,
-the law suite and the CLI, at module level and inside functions alike, so no
-import cycle runs through it; and no module-level import is left unused."""
+"""The imports of the package: every import is at module level, the relative
+imports form no cycle, `branchops` is below the diagram language, the law
+suite and the CLI, and no module-level import is left unused."""
 
 import ast
 from pathlib import Path
@@ -8,26 +8,55 @@ from pathlib import Path
 import foamalg
 
 PACKAGE = Path(foamalg.__file__).parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def parse_module(name: str) -> ast.Module:
+    path = PACKAGE / f"{name}.py"
+    return ast.parse(path.read_text(), str(path))
 
 
 def relative_imports(name: str) -> set[str]:
     """The package modules that module `name` imports by a relative import
-    anywhere in it: `from .m import x` gives m, `from . import m` gives m."""
-    path = PACKAGE / f"{name}.py"
+    anywhere in it: `from .m import x` gives m, `from . import m` gives m,
+    and `from . import x` of a name that is no module gives `__init__`."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(parse_module(name)):
         if isinstance(node, ast.ImportFrom) and node.level:
             if node.module:
                 found.add(node.module.split(".")[0])
             else:
-                found.update(alias.name for alias in node.names)
+                found.update(alias.name if alias.name in MODULES
+                             else "__init__" for alias in node.names)
     return found
 
 
+def test_no_module_imports_inside_a_function():
+    inside = {name: [node.lineno for fn in ast.walk(parse_module(name))
+                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     for node in ast.walk(fn)
+                     if isinstance(node, (ast.Import, ast.ImportFrom))]
+              for name in MODULES}
+    assert {name: lines for name, lines in inside.items() if lines} == {}
+
+
+def test_the_relative_imports_form_no_cycle():
+    # Peel off the modules whose package imports are all peeled already;
+    # what is left imports a cycle or is on one.
+    graph = {name: relative_imports(name) for name in MODULES}
+    assert graph["cli"] >= {"__init__", "lawsuite", "groupfoam"}
+    while leaves := {m for m, deps in graph.items() if not deps & graph.keys()}:
+        graph = {m: deps for m, deps in graph.items() if m not in leaves}
+    assert graph == {}
+
+
+def test_lawsuite_imports_no_group_ring():
+    # The law suite walks the bialgebra laws too, and tells a group ring by
+    # its class's `diagonal_map`, so it needs nothing of `groupfoam`.
+    assert "groupfoam" not in relative_imports("lawsuite")
+
+
 def test_branchops_imports_none_of_its_users():
-    # lawsuite imports groupfoam inside functions only, so this shows that
-    # imports inside functions are read.
-    assert "groupfoam" in relative_imports("lawsuite")
     users = {"foamlang", "lawsuite", "groupfoam", "cli"}
     assert relative_imports("branchops") & users == set()
 
@@ -41,8 +70,7 @@ def test_lawsuite_builds_no_theta_table():
 def unused_imports(name: str) -> list[str]:
     """The names that a module-level import of module `name` binds and that
     the module neither reads nor lists in `__all__`."""
-    path = PACKAGE / f"{name}.py"
-    tree = ast.parse(path.read_text(), str(path))
+    tree = parse_module(name)
     bound = [(alias.asname or alias.name).split(".")[0]
              for node in tree.body
              if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -59,7 +87,6 @@ def unused_imports(name: str) -> list[str]:
 
 
 def test_every_module_level_import_is_used():
-    modules = sorted(path.stem for path in PACKAGE.glob("*.py"))
-    assert "lawsuite" in modules
-    unused = {name: unused_imports(name) for name in modules}
+    assert "lawsuite" in MODULES
+    unused = {name: unused_imports(name) for name in MODULES}
     assert {name: names for name, names in unused.items() if names} == {}

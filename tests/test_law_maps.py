@@ -11,16 +11,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foamalg import groupfoam, lawsuite
+from foamalg import lawsuite
 from foamalg.branchops import BranchContext
 from foamalg.coeffring import MultiPoly, parse_poly
 from foamalg.frobalg import LinearMap, TensorElement, _unflat, \
     algebra_from_modulus, mv_algebra, truncated_algebra
-from foamalg.groupfoam import _generator_rows, check_bialgebra, \
+from foamalg.groupfoam import check_bialgebra, \
     derive_bialgebra_theta, group_ring, hopf_delta
 from foamalg.lawsuite import (
     LawReport,
     _compare,
+    _generator_rows,
     _law_report,
     check_antisymmetry,
     check_cocomul_two_sided,
@@ -676,7 +677,7 @@ def test_swapped_product_takes_the_full_walk(monkeypatch):
     ctx = product_perturbed()
     A = ctx.algebra
     assert A.generator_indices() is None and _generator_rows(A) is None
-    read = _read_columns(monkeypatch, groupfoam, "compatibility")
+    read = _read_columns(monkeypatch, lawsuite, "compatibility")
     report = check_bialgebra(ctx)
     assert report.to_dict() == oracle_bialgebra(A, ctx).to_dict()
     assert read == list(range(report.checked_cases - A.rank))
@@ -718,7 +719,7 @@ def test_failure_off_the_generator_rows_reports_the_full_walk():
 def test_group_2_4_reads_80_compatibility_columns(monkeypatch):
     A = group_ring([2] * 4)
     ctx = BranchContext(A, derive_bialgebra_theta(A))
-    read = _read_columns(monkeypatch, groupfoam, "compatibility")
+    read = _read_columns(monkeypatch, lawsuite, "compatibility")
     report = check_bialgebra(ctx)
     assert report.passed and report.checked_cases == 16 + 256 + 2 * 16
     assert len(read) == 80

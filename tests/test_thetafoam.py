@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from foamalg.coeffring import MultiPoly
-from foamalg.frobalg import AlgebraElement, mv_algebra, truncated_algebra
+from foamalg.frobalg import AlgebraElement, algebra_from_modulus, \
+    mv_algebra, truncated_algebra
 from foamalg.thetafoam import ThetaTable, lie_theta, mv_theta
 
 
@@ -137,6 +138,15 @@ class TestEval:
         A = truncated_algebra(4)
         with pytest.raises(ValueError, match="rank mismatch"):
             lie_theta(3).eval(A.unit, A.unit, A.unit)
+
+    def test_elements_of_two_algebras(self):
+        # B has A's rank and ring but is another algebra, so the elements
+        # do not share one coefficient vector space.
+        A = truncated_algebra(3)
+        B = algebra_from_modulus((), [1, 0, 0, 1], [0, 0, 1])
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            lie_theta(3).eval(A.basis_element(0), B.basis_element(1),
+                              A.basis_element(2))
 
     small = st.integers(-3, 3)
 
