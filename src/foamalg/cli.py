@@ -78,6 +78,15 @@ def _check_generator_names(gens, spec: str) -> None:
         raise SpecError(f"config {spec!r}: generator names repeat: {list(gens)}")
 
 
+def _decimal(field: str) -> int:
+    """A number field of a spec: a nonempty run of ASCII digits and nothing
+    else.  `int` alone also takes signs, spaces, underscores and non-ASCII
+    digits; like `int`, this raises ValueError."""
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"not a decimal: {field!r}")
+    return int(field)
+
+
 def build_algebra(spec: str):
     """Algebra from a builtin name (mv, aN:<n>, group:<o1,o2,...>) or a JSON
     config file with generators/modulus/counit fields."""
@@ -85,7 +94,7 @@ def build_algebra(spec: str):
         return mv_algebra(), None
     if spec.startswith("aN:"):
         try:
-            n = int(spec.split(":", 1)[1])
+            n = _decimal(spec.split(":", 1)[1])
         except ValueError:
             raise SpecError(f"bad truncated-algebra spec {spec!r}") from None
         if n < 2:
@@ -94,12 +103,13 @@ def build_algebra(spec: str):
             raise SpecError(f"aN:<n> needs n <= {MAX_TRUNCATED_RANK}")
         return truncated_algebra(n), None
     if spec.startswith("group:"):
+        body = spec.split(":", 1)[1]
+        if not body:
+            raise SpecError("group:<o1,o2,...> needs at least one order")
         try:
-            orders = [int(o) for o in spec.split(":", 1)[1].split(",") if o]
+            orders = [_decimal(o) for o in body.split(",")]
         except ValueError:
             raise SpecError(f"bad group spec {spec!r}") from None
-        if not orders:
-            raise SpecError("group:<o1,o2,...> needs at least one order")
         try:
             return group_ring(orders), None
         except ValueError as exc:

@@ -5,7 +5,8 @@ import pytest
 
 from foamalg.branchops import BranchContext
 from foamalg.coeffring import MultiPoly
-from foamalg.frobalg import TensorElement
+from foamalg.frobalg import FrobeniusAlgebra, LinearMap, TensorElement, \
+    truncated_algebra
 from foamalg.groupfoam import (
     FiniteAbelianGroup,
     check_bialgebra,
@@ -120,6 +121,103 @@ class TestGroupRing:
         assert report.passed
 
 
+def _order_tuples(limit, nondecreasing):
+    """Every tuple of cyclic orders (each at least 2) whose product is at
+    most `limit`, or only the nondecreasing ones."""
+    out = []
+
+    def extend(prefix, size):
+        if prefix:
+            out.append(prefix)
+        low = prefix[-1] if nondecreasing and prefix else 2
+        for o in range(low, limit // size + 1):
+            extend(prefix + (o,), size * o)
+
+    extend((), 1)
+    return out
+
+
+# Every ordering up to 16 elements, every nondecreasing tuple up to 64.
+TENSOR_SPECS = sorted(set(_order_tuples(16, False))
+                      | set(_order_tuples(64, True)))
+
+VALIDATED_SPECS = [(2,) * 3, (2,) * 4, (2,) * 5, (2,) * 6, (4, 4, 4), (8, 8),
+                   (64,), (3, 2, 5)]
+
+
+class TestTensorConstruction:
+    """A product of cyclic groups is built as the tensor product of its
+    cyclic group rings, and on most specs only the factors run Light's test,
+    so the built ring is pinned here against the group law and the
+    base-class checks."""
+
+    def test_spec_count(self):
+        assert len(TENSOR_SPECS) == 209
+
+    @pytest.mark.parametrize("orders, gens", [
+        *((o, ()) for o in TENSOR_SPECS),
+        # Over Z[a], on both routes.
+        *((o, ("a",)) for o in [(2, 3), (2, 2, 2), (4, 4)]),
+    ], ids=lambda p: ",".join(map(str, p)))
+    def test_matches_the_group_law(self, orders, gens):
+        A = group_ring(orders, gens)
+        g, n = A.group, A.rank
+        one, zero = MultiPoly.one(gens), MultiPoly.zero(gens)
+        assert n == g.size
+        assert A.mul_map.cols == {i * n + j: {g.add(i, j): one}
+                                  for i in range(n) for j in range(n)}
+        assert A.counit_vec == (one,) + (zero,) * (n - 1)
+        assert A.dual_map.cols == {i: {g.inverse(i): one} for i in range(n)}
+        pairs = sum(1 for i in range(n) if g.inverse(i) > i)
+        assert A.gram_det == MultiPoly.const(gens, (-1) ** pairs)
+
+    @pytest.mark.parametrize("orders", VALIDATED_SPECS,
+                             ids=lambda o: ",".join(map(str, o)))
+    def test_passes_the_base_class_checks(self, orders):
+        A = group_ring(orders)
+        indices = A.generator_indices()
+        assert indices == tuple(sorted(A.group._strides))
+        FrobeniusAlgebra._validate_algebra(A)
+        FrobeniusAlgebra._validate_frobenius(A)
+        assert A.generator_indices() == indices
+
+    @pytest.mark.parametrize("orders", [(2, 3), (2, 2, 2), (4, 4)])
+    def test_a_replaced_table_is_checked_in_full(self, orders):
+        """Only construction takes the theorem's word: a later check of a
+        table, here one with e1 * e1 changed to e1 on both rings, runs
+        Light's test."""
+        A = group_ring(orders)
+        cols = dict(A.mul_map.cols)
+        cols[A.rank + 1] = {1: MultiPoly.one(())}
+        A.mul_map = LinearMap((), A.rank, 2, 1, cols)
+        assert A.generator_indices() is None
+        with pytest.raises(ValueError, match="not associative"):
+            A._validate_algebra()
+
+    def test_generator_indices_of_group_2_4(self):
+        assert group_ring([2] * 4).generator_indices() == (1, 2, 4, 8)
+
+    @pytest.mark.parametrize("orders, built", [
+        ([64], [64]), ([2] * 6, [2, 64]), ([4, 4, 4], [4, 64]),
+        ([3, 2, 5], [2, 3, 5, 30]), ([2, 3, 2], [2, 3, 12]),
+        ([4, 4], [4, 16]),
+        # Too small to gain from the factors: validated whole.
+        ([2, 2], [4]), ([2, 3], [6]), ([3, 3], [9]), ([2, 32], [64]),
+    ])
+    def test_each_order_is_built_once(self, monkeypatch, orders, built):
+        """Every validated algebra that construction builds, by rank."""
+        ranks = []
+        init = FrobeniusAlgebra.__init__
+
+        def counting_init(self, gens, labels, *args, **kwargs):
+            ranks.append(len(labels))
+            init(self, gens, labels, *args, **kwargs)
+
+        monkeypatch.setattr(FrobeniusAlgebra, "__init__", counting_init)
+        group_ring(orders)
+        assert sorted(ranks) == built
+
+
 class TestHopfDelta:
     def test_basis_element(self):
         A = group_ring([2])
@@ -135,6 +233,12 @@ class TestHopfDelta:
     def test_zero(self):
         A = group_ring([2])
         assert not hopf_delta(A, A.zero)
+
+    def test_needs_a_group_ring(self):
+        A = truncated_algebra(3)
+        with pytest.raises(TypeError,
+                           match="hopf_delta needs a group ring algebra"):
+            hopf_delta(A, A.unit)
 
 
 class TestDeriveTheta:
