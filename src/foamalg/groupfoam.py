@@ -1,16 +1,17 @@
 """Group rings R[G] for finite abelian G, with their Frobenius structure.
 
 The Frobenius form picks out the identity element; the dual basis of a group
-element is its inverse, so delta_one is sum_g g (x) g^{-1}.  Unless it is
-too small to gain, the group ring of Z/o1 x ... x Z/ok is built as the
-tensor product of the cyclic group rings Z[Z/oi], since Z[G x H] =
-Z[G] (x) Z[H] as Frobenius algebras: each cyclic factor is validated in
-full when it is built, and the product's table, counit and dual basis are
-made from the factors', so the product skips Light's test over the whole
-ring.  The diagonal comultiplication g -> g (x) g can be produced by a
-cyclically symmetric theta table exactly when every non-identity element
-has order 2; that derivation lives here.  The bialgebra check walks its
-laws in `lawsuite` and is re-exported here as `check_bialgebra`.
+element is its inverse, so delta_one is sum_g g (x) g^{-1}.  Unless the
+group is cyclic, or Z/2 or Z/3 times a cyclic group, its group ring is
+built as the tensor product of the cyclic group rings Z[Z/oi], since
+Z[G x H] = Z[G] (x) Z[H] as Frobenius algebras: each cyclic factor is
+validated in full when it is built, and the product's table, counit and
+dual basis are made from the factors', so the product skips Light's test
+over the whole ring.  The diagonal comultiplication g -> g (x) g can be
+produced by a cyclically symmetric theta table exactly when every
+non-identity element has order 2; that derivation lives here.  The
+bialgebra check walks its laws in `lawsuite` and is re-exported here as
+`check_bialgebra`.
 """
 
 from __future__ import annotations
@@ -115,40 +116,25 @@ def _tensor_product(left, right):
     n, mul_a, eps_a, dual_a, det_a = left
     m, mul_b, eps_b, dual_b, det_b = right
     nm = n * m
-    rows_b = [[mul_b.get(b1 * m + b2, {}) for b2 in range(m)]
-              for b1 in range(m)]
-    # The Kronecker products of one column of A with B's table, made once
-    # for each distinct column: a group ring's n^2 columns are n elements.
+    cols_b = [mul_b.get(c, {}) for c in range(m * m)]
+    # A group ring's n^2 product columns are only n distinct elements, so
+    # each distinct column of A is multiplied out against B's table once.
     made, blocks = {}, []
     for c in range(n * n):
         col_a = mul_a.get(c, {})
         key = tuple(col_a.items())
         block = made.get(key)
         if block is None:
-            block = made[key] = [[_kron(col_a, col_b, m) for col_b in row]
-                                 for row in rows_b]
+            block = made[key] = [_kron(col_a, col_b, m) for col_b in cols_b]
         blocks.append(block)
-    mul = {(a1 * m + b1) * nm + a2 * m + b2: col
-           for a1 in range(n) for b1 in range(m) for a2 in range(n)
-           for b2, col in enumerate(blocks[a1 * n + a2][b1])}
+    mul = {(a1 * m + b1) * nm + a2 * m + b2: blocks[a1 * n + a2][b1 * m + b2]
+           for a1 in range(n) for b1 in range(m)
+           for a2 in range(n) for b2 in range(m)}
     counit = {a * m + b: _kron(x, y, 1)
               for a, x in eps_a.items() for b, y in eps_b.items()}
     dual = {a * m + b: _kron(x, y, m)
             for a, x in dual_a.items() for b, y in dual_b.items()}
     return nm, mul, counit, dual, det_a ** m * det_b ** n
-
-
-def _validated_by_factors(group: FiniteAbelianGroup) -> bool:
-    """Whether validating the distinct cyclic factors costs less than
-    Light's test over the whole ring.  That test compares k n (n - 1) / 2
-    pairs of product columns on k generators and n elements; building and
-    validating Z[Z/o] costs up to about 8 o^2 such pairs (measured on
-    CPython 3.11, where every `group:2,o` and `group:3,o` up to o = 10 gains
-    little or loses by its factors, and `group:2,2,2`, `group:4,4` and
-    `group:3,2,5` gain)."""
-    n, k = group.size, len(group.orders)
-    return k > 1 and k * n * (n - 1) > 16 * sum(o * o for o in
-                                                 set(group.orders))
 
 
 class GroupRingAlgebra(FrobeniusAlgebra):
@@ -163,14 +149,15 @@ class GroupRingAlgebra(FrobeniusAlgebra):
     The group ring of Z/o1 x ... x Z/ok is the tensor product of the cyclic
     group rings Z[Z/oi], first factor most significant, which is the
     group's mixed-radix index, and Z[G x H] is Z[G] (x) Z[H] as Frobenius
-    algebras.  So when Light's test over the whole ring would cost more
-    than validating the factors (`_validated_by_factors`), each distinct
-    order is built, and so validated, once; the product's table, counit,
-    dual basis and Gram determinant are folded from the factors' own maps
-    by `_tensor_product`; and the product's construction only records the
-    generating set, its algebra axioms holding by the theorem.  A cyclic
-    group, or a product too small to gain, is built from the group law and
-    validated whole.
+    algebras.  So when at least four elements lie outside the largest
+    factor, each distinct order is built, and so validated, once; the
+    product's table, counit, dual basis and Gram determinant are folded
+    from the factors' own maps by `_tensor_product`; and the product skips
+    Light's test, its algebra axioms holding by the theorem.  It records
+    its generating set, e_0 and the cyclic generators at the indices
+    `group._strides`, with its `mul_map` (`generator_indices`), as Light's
+    test would, and its dual basis is checked.  Any other group ring is
+    built from the group law and validated in full.
     """
 
     def __init__(self, group: FiniteAbelianGroup, generators=()):
@@ -178,10 +165,12 @@ class GroupRingAlgebra(FrobeniusAlgebra):
         gens = tuple(generators)
         n = group.size
         zero, one = MultiPoly.zero(gens), MultiPoly.one(gens)
-        # Read by the `_validate_algebra` that construction runs, and only
-        # by it: a table replaced later is checked in full.
-        self._from_factors = _validated_by_factors(group)
-        if self._from_factors:
+        # A measured selection: built through their factors, Z/2 x Z/o for
+        # o < 8 and Z/3 x Z/2 got slower (`group:2,3` by half), so a group
+        # with fewer than four elements outside its largest factor, a
+        # cyclic group among them, is validated whole.
+        from_factors = n >= 4 * max(group.orders)
+        if from_factors:
             factors = (GroupRingAlgebra(FiniteAbelianGroup([o]), gens)
                        for o in set(group.orders))
             rings = {f.rank: (f.rank, f.mul_map.cols, f.counit_map.cols,
@@ -202,23 +191,10 @@ class GroupRingAlgebra(FrobeniusAlgebra):
         symbols = {name: [one if a == stride else zero for a in range(n)]
                    for name, stride in zip(_GENERATOR_NAMES, group._strides)}
         super().__init__(gens, labels, mul_cols, counit_vec, symbols=symbols,
-                         dual=(dual_cols, det))
-
-    def _validate_algebra(self):
-        """At construction, a product folded from validated cyclic factors
-        is their tensor product, and each factor passed the base class's
-        check when it was built, so the product is a commutative,
-        associative and unital algebra by the theorem.  Its generating set,
-        e_0 and the cyclic generators at the indices `group._strides`, is
-        recorded with its `mul_map` (`generator_indices`), as the base
-        class's check records it.  Any other group ring, and any table
-        checked again later, runs the base class's check."""
-        if self._from_factors:
-            self._from_factors = False
-            self._generators = (self.mul_map,
-                                tuple(sorted(self.group._strides)))
-        else:
-            super()._validate_algebra()
+                         validate=not from_factors, dual=(dual_cols, det))
+        if from_factors:
+            self._generators = (self.mul_map, tuple(sorted(group._strides)))
+            self._validate_frobenius()
 
     @cached_property
     def augmentation_map(self) -> LinearMap:

@@ -146,10 +146,10 @@ VALIDATED_SPECS = [(2,) * 3, (2,) * 4, (2,) * 5, (2,) * 6, (4, 4, 4), (8, 8),
 
 
 class TestTensorConstruction:
-    """A product of cyclic groups is built as the tensor product of its
-    cyclic group rings, and on most specs only the factors run Light's test,
-    so the built ring is pinned here against the group law and the
-    base-class checks."""
+    """A product of cyclic groups with at least four elements outside its
+    largest factor is built as the tensor product of its cyclic group
+    rings, and only the factors run Light's test, so the built ring is
+    pinned here against the group law and the base-class checks."""
 
     def test_spec_count(self):
         assert len(TENSOR_SPECS) == 209
@@ -200,9 +200,11 @@ class TestTensorConstruction:
     @pytest.mark.parametrize("orders, built", [
         ([64], [64]), ([2] * 6, [2, 64]), ([4, 4, 4], [4, 64]),
         ([3, 2, 5], [2, 3, 5, 30]), ([2, 3, 2], [2, 3, 12]),
-        ([4, 4], [4, 16]),
-        # Too small to gain from the factors: validated whole.
-        ([2, 2], [4]), ([2, 3], [6]), ([3, 3], [9]), ([2, 32], [64]),
+        ([4, 4], [4, 16]), ([2, 2, 16], [2, 16, 64]),
+        # Fewer than four elements outside the largest factor: validated
+        # whole.
+        ([2, 2], [4]), ([2, 3], [6]), ([3, 3], [9]), ([4, 3], [12]),
+        ([3, 12], [36]), ([2, 32], [64]),
     ])
     def test_each_order_is_built_once(self, monkeypatch, orders, built):
         """Every validated algebra that construction builds, by rank."""
